@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"os"
-
-	"civect/internal/ci"
-)
+import "civect/internal/ci"
 
 // completeStage retires finished executions: results are written to the
 // register file, stores mark their address/value architectural-ready,
@@ -140,10 +135,6 @@ func (p *Proc) recoverBranch(idx int) {
 	p.fetchHalted = false
 	p.fetchStallUntil = 0
 
-	if debugTrace {
-		//civet:allow hotalloc trace formatting only runs when CIVECT_TRACE is set; production runs never reach it
-		fmt.Fprintf(os.Stderr, "[%d] mispredict pc=%d hard=%v maskOK=%v reconv=%d\n", p.cycle, e.pc, hard, maskOK, reconv)
-	}
 	// Episodes are scoped misprediction-to-misprediction: close the
 	// previous one, then open a new one for hard branches (the only
 	// ones the scheme activates for, §2.3.1).

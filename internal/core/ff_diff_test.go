@@ -34,15 +34,9 @@ func enginePairs(t *testing.T) [][2]string {
 	if v == "" {
 		return all
 	}
-	if v == batchedLeg {
-		// The batched-vs-sequential matrix leg belongs to the batch
-		// differential suite (batch_test.go); no classic engine pair
-		// runs on it.
-		return nil
-	}
 	parts := strings.Split(v, ",")
 	if len(parts) != 2 || engineConfigs[parts[0]] == nil || engineConfigs[parts[1]] == nil {
-		t.Fatalf("CIVECT_ENGINE_PAIR=%q: want two of naive|event|fastforward, or %q", v, batchedLeg)
+		t.Fatalf("CIVECT_ENGINE_PAIR=%q: want two of naive|event|fastforward", v)
 	}
 	return [][2]string{{parts[0], parts[1]}}
 }
@@ -54,9 +48,6 @@ func enginePairs(t *testing.T) [][2]string {
 // partition the differential work instead of each repeating all of it.
 func pairSelected(t *testing.T, a, b string) bool {
 	pairs := enginePairs(t)
-	if pairs == nil {
-		return false // the leg belongs to the batch differential suite
-	}
 	if len(pairs) != 1 {
 		return true
 	}

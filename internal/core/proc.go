@@ -420,7 +420,7 @@ type Proc struct {
 // New builds a processor over prog and data memory m (which it owns and
 // mutates at commit). The configuration is validated. Sweeps running
 // many configurations over one program share the decode work instead:
-// ShareProgram once, then NewShared (or BatchProc) per lane.
+// ShareProgram once, then NewShared per configuration.
 func New(cfg Config, prog *isa.Program, m *mem.Memory) (*Proc, error) {
 	sp, err := ShareProgram(prog)
 	if err != nil {
@@ -528,30 +528,67 @@ func (p *Proc) Run() (*Stats, error) {
 // channel) the polling is skipped entirely.
 const ctxCheckInterval = 1024
 
+// watchdogCycles is RunContext's forward-progress bound: a pipeline
+// that commits nothing for this many cycles is a simulator bug and
+// fails loudly instead of spinning.
+const watchdogCycles = 500_000
+
 // RunContext is Run under a context: cancellation or an expired
 // deadline stops the simulation at the next cycle boundary. On
 // cancellation it returns the partial statistics accumulated so far
 // together with ctx.Err(), so callers can report work done before the
 // cut; every other error returns nil stats as Run does.
+//
+// Its loop is the simulator's one run loop — sessions and sweep lanes
+// both step through it — so it is a zero-alloc root; error rendering
+// lives in cold helpers.
+//
+//civet:hotpath
 func (p *Proc) RunContext(ctx context.Context) (*Stats, error) {
 	maxCycles := p.cfg.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = 200_000_000
 	}
-	// One-lane degenerate batch: the single-configuration run is the
-	// batched engine's fallback path, so the two cannot drift.
-	ls := laneState{
-		p: p, maxCycles: maxCycles, ctxCheck: ctxCheckInterval,
-		lastCommit: p.Stats.Committed, lastCommitCycle: p.cycle,
+	done := ctx.Done()
+	ctxCheck := ctxCheckInterval
+	lastCommit, lastCommitCycle := p.Stats.Committed, p.cycle
+	for !p.halted && (p.cfg.MaxInstr == 0 || p.Stats.Committed < p.cfg.MaxInstr) {
+		if p.cycle >= maxCycles {
+			return nil, p.cycleBoundError(maxCycles)
+		}
+		if done != nil {
+			if ctxCheck--; ctxCheck <= 0 {
+				ctxCheck = ctxCheckInterval
+				select {
+				case <-done:
+					return p.Finalize(), ctx.Err()
+				default:
+				}
+			}
+		}
+		p.step()
+		if p.Stats.Committed != lastCommit {
+			lastCommit, lastCommitCycle = p.Stats.Committed, p.cycle
+		} else if p.cycle-lastCommitCycle > watchdogCycles {
+			return nil, p.stallError()
+		}
 	}
-	switch st := ls.stepChunk(^uint64(0), ctx.Done()); st {
-	case laneFinished:
-		return p.Finalize(), nil
-	case laneCanceled:
-		return p.Finalize(), ctx.Err()
-	default:
-		return nil, laneError(&ls, st)
-	}
+	return p.Finalize(), nil
+}
+
+// cycleBoundError reports a run that hit its cycle safety bound.
+//
+//civet:coldpath
+func (p *Proc) cycleBoundError(maxCycles uint64) error {
+	return fmt.Errorf("core: cycle bound %d exceeded (committed %d)", maxCycles, p.Stats.Committed)
+}
+
+// stallError reports a run the no-commit-progress watchdog stopped.
+//
+//civet:coldpath
+func (p *Proc) stallError() error {
+	return fmt.Errorf("core: no commit progress for %d cycles at cycle %d (mode %v, head state %v)",
+		watchdogCycles, p.cycle, p.cfg.Mode, p.headState())
 }
 
 // Step advances the pipeline by one cycle (a no-op once the program

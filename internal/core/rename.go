@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"os"
-
 	"civect/internal/ci"
 	"civect/internal/isa"
 )
@@ -183,10 +180,6 @@ func (p *Proc) tryRename(f *fetchedInstr) bool {
 				}
 			case valFail:
 				p.Stats.ValidationFails++
-				if debugTrace {
-					//civet:allow hotalloc trace formatting only runs when CIVECT_TRACE is set; production runs never reach it
-					fmt.Fprintf(os.Stderr, "[%d] teardown pc=%d\n", p.cycle, f.pc)
-				}
 				p.invalidateEntry(ent)
 			case valNoReplica:
 				// Batch exhausted: execute normally, keep the entry.

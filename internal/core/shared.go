@@ -11,9 +11,9 @@ import (
 // processors can simulate concurrently: the static code and the
 // per-PC class/operand metadata (instrMeta) are derived once and
 // shared read-only. A multi-configuration sweep over one workload
-// builds one SharedProgram and hands it to every lane (BatchProc, or
-// NewShared directly) instead of re-validating and re-decoding the
-// program per session.
+// builds one SharedProgram and hands it to every configuration's
+// NewShared instead of re-validating and re-decoding the program per
+// session.
 type SharedProgram struct {
 	prog  *isa.Program
 	imeta []instrMeta

@@ -1,16 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
-	"os"
 
 	"civect/internal/ci"
 	"civect/internal/isa"
 )
-
-// debugTrace enables stderr event tracing of SRSMT lifecycle events.
-var debugTrace = os.Getenv("CIVECT_TRACE") != ""
 
 // valResult classifies a validation attempt (§2.3.4).
 type valResult int
@@ -105,10 +100,6 @@ func (p *Proc) tryValidate(e *robEntry, ent *ci.Entry, snap []renEntry) valResul
 		p.srsmt.Touch(ent)
 		p.activateEntry(ent)
 		p.Stats.ValNoReplica++
-		if debugTrace {
-			//civet:allow hotalloc trace formatting only runs when CIVECT_TRACE is set; production runs never reach it
-			fmt.Fprintf(os.Stderr, "[%d] noreplica pc=%d decode=%d alloc=%d commit=%d\n", p.cycle, e.pc, h.Decode-1, h.Alloc, h.Commit)
-		}
 		return valNoReplica
 	}
 	if slot.State == ci.ReplicaFailed {
@@ -169,10 +160,6 @@ func (p *Proc) maybeVectorizeLoad(pc int, in isa.Instr, addr uint64, creatorSeq 
 	ent.Decode, ent.Commit, ent.Alloc = skip, 0, skip
 	p.initReplicaRing(ent)
 	p.Stats.VectorizedEntries++
-	if debugTrace {
-		//civet:allow hotalloc trace formatting only runs when CIVECT_TRACE is set; production runs never reach it
-		fmt.Fprintf(os.Stderr, "[%d] create-load pc=%d skip=%d\n", p.cycle, pc, skip)
-	}
 	p.enlistNew(ent)
 	p.spawnReplicas(ent)
 }

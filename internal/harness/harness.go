@@ -5,12 +5,12 @@
 //
 // Runs are memoized (several figures share the same configurations).
 // RunExperiments plans the whole sweep up front (a dry run against a
-// recording planner), prefetches it through batched per-benchmark
-// sim.Set sweeps — up to Options.BatchWidth configurations stepping in
-// lockstep over one shared program — and then replays the experiments
-// against the primed cache. Simulations are built and run exclusively
-// through the public civect/sim façade; the harness adds memoization,
-// planning and the experiment registry on top.
+// recording planner), prefetches it through per-benchmark sim.Set
+// sweeps — every configuration of a benchmark over one shared decoded
+// program — and then replays the experiments against the primed
+// cache. Simulations are built and run exclusively through the public
+// civect/sim façade; the harness adds memoization, planning and the
+// experiment registry on top.
 package harness
 
 import (
@@ -60,11 +60,6 @@ type Options struct {
 	Benches []string
 	// Workers bounds parallel simulations (default GOMAXPROCS).
 	Workers int
-	// BatchWidth is the lockstep width of prefetch sweeps (sim.Set
-	// Width): 0 selects the automatic width, 1 forces the legacy
-	// sequential path (one session per cell, no duplicate coalescing).
-	// Results are bit-identical at every width.
-	BatchWidth int
 }
 
 func (o Options) withDefaults() Options {
@@ -341,12 +336,11 @@ func (h *Harness) Run(s RunSpec) (*core.Stats, error) {
 	return st, nil
 }
 
-// Prefetch simulates the given specs through batched per-benchmark
-// sim.Set sweeps and primes the cache, so subsequent Run calls for them
-// are hits. Specs already cached are skipped; up to Options.Workers
-// benchmark sweeps run concurrently, each stepping up to
-// Options.BatchWidth configurations in lockstep. Prefetching does not
-// mark specs as requested — plan-vs-execution accounting (ExecutedSpecs,
+// Prefetch simulates the given specs through per-benchmark sim.Set
+// sweeps and primes the cache, so subsequent Run calls for them are
+// hits. Specs already cached are skipped; up to Options.Workers
+// benchmark sweeps run concurrently. Prefetching does not mark specs
+// as requested — plan-vs-execution accounting (ExecutedSpecs,
 // UnusedPrimed) still reflects what the experiments actually ask for.
 func (h *Harness) Prefetch(specs []RunSpec) error {
 	seen := make(map[RunSpec]bool, len(specs))
@@ -392,8 +386,8 @@ func (h *Harness) Prefetch(specs []RunSpec) error {
 	return nil
 }
 
-// prefetchBench sweeps one benchmark's specs as a single batched set
-// and primes each result.
+// prefetchBench sweeps one benchmark's specs as a single set and
+// primes each result.
 func (h *Harness) prefetchBench(bench string, specs []RunSpec) error {
 	w, err := sim.Load(bench)
 	if err != nil {
@@ -407,7 +401,6 @@ func (h *Harness) prefetchBench(bench string, specs []RunSpec) error {
 	if err != nil {
 		return fmt.Errorf("%s: %v", bench, err)
 	}
-	set.Width = h.opt.BatchWidth
 	set.Workers = 1 // the harness semaphore is the concurrency bound
 	h.acquire()
 	results, err := set.Run(context.Background())
@@ -423,7 +416,7 @@ func (h *Harness) prefetchBench(bench string, specs []RunSpec) error {
 
 // MaxConcurrent returns the highest number of simulation workers that
 // have executed simultaneously on this harness (never above
-// Options.Workers; a lockstep prefetch sweep counts as one worker).
+// Options.Workers; a prefetch sweep counts as one worker).
 func (h *Harness) MaxConcurrent() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -5,7 +5,7 @@ package sim
 // New is a placeholder so importing fixtures have something to call.
 func New() int { return 0 }
 
-// NewSet stands in for the batched set API entry point: multi-config
+// NewSet stands in for the sweep-set API entry point: multi-config
 // sweeps are reached through the façade, never by importing
-// internal/core's BatchProc.
+// internal/core directly.
 func NewSet() int { return 0 }

@@ -1,9 +1,9 @@
 // Package hotalloc implements the civet hotalloc analyzer: a
 // compile-time complement to the runtime testing.AllocsPerRun gate on
 // the simulator's zero-allocation steady state. Functions whose doc
-// comment carries //civet:hotpath (core.Proc.Step and the engine tick
-// functions) are roots; the analyzer walks every function they
-// statically call within the same package — stopping at
+// comment carries //civet:hotpath (core.Proc.Step, Proc.RunContext
+// and the engine tick functions) are roots; the analyzer walks every
+// function they statically call within the same package — stopping at
 // //civet:coldpath — and flags constructs that allocate or are likely
 // to escape to the heap:
 //

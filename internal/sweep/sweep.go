@@ -215,9 +215,9 @@ func (f *File) sameSweep(g *File) bool {
 }
 
 // RunShard plans the sweep, selects this shard's cells and simulates
-// them on a fresh harness: the cells are batch-prefetched through
-// per-benchmark lockstep sweeps (width opt.BatchWidth, worker bound
-// opt.Workers) and then collected in shard order from the primed cache.
+// them on a fresh harness: the cells are prefetched through
+// per-benchmark sim.Set sweeps (worker bound opt.Workers) and then
+// collected in shard order from the primed cache.
 func RunShard(expIDs []string, opt harness.Options, sh Shard) (*File, error) {
 	specs, err := Plan(expIDs, opt)
 	if err != nil {

@@ -38,7 +38,7 @@ type setPoint struct {
 	opts PointOpts
 	// session marks points that run as individual Sessions: observers
 	// and trace journals are per-session side effects, so such points
-	// are excluded from lockstep batching and result coalescing.
+	// are excluded from waves and result coalescing.
 	session bool
 }
 
@@ -46,21 +46,14 @@ type setPoint struct {
 // way to run N configuration points of the same program. Build one
 // with NewSet, then stream the results with Sweep (or collect them
 // with Run). Compared to building N Sessions, a Set shares the decoded
-// program and per-PC metadata across all points, steps up to Width
-// points in cache-friendly lockstep (the batched engine,
-// internal/core's BatchProc), and simulates exact duplicate
-// configurations once — per-point results are bit-identical to
-// individual sequential Sessions either way.
+// program and per-PC metadata across all points and simulates exact
+// duplicate configurations once — per-point results are bit-identical
+// to individual Sessions.
 //
-// A Set is single-use and, once swept, sealed; the Width and Workers
-// knobs must be set before Sweep is called. Sets are not safe for
-// concurrent use (the Sweep result channel is).
+// A Set is single-use and, once swept, sealed; the Workers knob must
+// be set before Sweep is called. Sets are not safe for concurrent use
+// (the Sweep result channel is).
 type Set struct {
-	// Width is the number of configuration lanes stepped in lockstep
-	// per wave: 0 (or negative) selects the automatic width, 1 runs
-	// every point as its own sequential session — the legacy
-	// behavior, with no lockstep and no duplicate coalescing.
-	Width int
 	// Workers bounds how many waves (and individual session points)
 	// simulate concurrently; 0 or negative uses GOMAXPROCS. Results
 	// are bit-identical for every Workers value.
@@ -72,10 +65,8 @@ type Set struct {
 	swept  bool
 }
 
-// autoWidth is the automatic lockstep width: wide enough to amortize
-// the shared program state across lanes, narrow enough that the
-// per-lane pipeline state of a whole wave stays cache-resident.
-const autoWidth = 8
+// waveWidth is the number of distinct configurations per wave.
+const waveWidth = 8
 
 // NewSet builds a sweep set over workload w with one point per option
 // list, validating every point eagerly exactly as New would: a nil or
@@ -142,10 +133,10 @@ func (s *Set) Run(ctx context.Context) ([]*Result, error) {
 	return results, firstErr
 }
 
-// sweepUnit is one schedulable piece of a sweep: either a lockstep
-// wave of distinct-configuration lanes (each lane carrying every point
-// index that resolves to its configuration) or a single point that
-// must run as an individual Session.
+// sweepUnit is one schedulable piece of a sweep: either a wave of
+// distinct-configuration lanes (each lane carrying every point index
+// that resolves to its configuration) or a single point that must run
+// as an individual Session.
 type sweepUnit struct {
 	// lanes[i] lists the point indices coalesced onto lane i; the
 	// lane simulates points[lanes[i][0]].cfg.
@@ -156,15 +147,15 @@ type sweepUnit struct {
 
 // Sweep simulates every point and streams the per-point results over
 // the returned channel in completion order; the channel closes once
-// all points have finished. Up to Width distinct configurations step
-// in lockstep per wave and up to Workers waves run concurrently.
+// all points have finished. Points are grouped into waves of up to 8
+// distinct configurations, and up to Workers waves run concurrently.
 // Points whose configurations are exactly equal are simulated once
 // per wave and their results fanned out (the simulator is
-// deterministic, so this is observationally identical to running each
-// — Width 1 disables both lockstep and this coalescing); observer and
-// trace points always run as individual sessions.
+// deterministic, so this is observationally identical to running
+// each); observer and trace points always run as individual sessions.
 //
-// Cancelling ctx stops every running lane at its next cycle boundary:
+// Cancelling ctx stops the running lanes at their next cycle boundary
+// and finalizes the lanes not yet started without simulating them:
 // such points deliver partial, well-formed Results together with the
 // context error, exactly as Session.Run does. A Set is single-use;
 // sweeping again yields every point with an error wrapping
@@ -180,10 +171,6 @@ func (s *Set) Sweep(ctx context.Context) <-chan PointResult {
 	}
 	s.swept = true
 
-	width := s.Width
-	if width < 1 {
-		width = autoWidth
-	}
 	workers := s.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -191,43 +178,33 @@ func (s *Set) Sweep(ctx context.Context) <-chan PointResult {
 
 	// Partition the points into units: session points run alone;
 	// the rest coalesce by exact configuration (first-occurrence
-	// order) and fill lockstep waves of up to width lanes.
+	// order) and fill waves of up to waveWidth lanes.
 	var units []sweepUnit
 	var wave [][]int
-	if width == 1 {
-		for i, pt := range s.points {
-			if pt.session {
-				units = append(units, sweepUnit{single: i})
-			} else {
-				units = append(units, sweepUnit{lanes: [][]int{{i}}})
-			}
+	laneOf := make(map[Config]int, len(s.points))
+	flush := func() {
+		if len(wave) > 0 {
+			units = append(units, sweepUnit{lanes: wave})
+			wave = nil
+			laneOf = make(map[Config]int, len(s.points))
 		}
-	} else {
-		laneOf := make(map[Config]int, len(s.points))
-		flush := func() {
-			if len(wave) > 0 {
-				units = append(units, sweepUnit{lanes: wave})
-				wave = nil
-				laneOf = make(map[Config]int, len(s.points))
-			}
-		}
-		for i, pt := range s.points {
-			if pt.session {
-				units = append(units, sweepUnit{single: i})
-				continue
-			}
-			if li, ok := laneOf[pt.cfg]; ok {
-				wave[li] = append(wave[li], i)
-				continue
-			}
-			laneOf[pt.cfg] = len(wave)
-			wave = append(wave, []int{i})
-			if len(wave) == width {
-				flush()
-			}
-		}
-		flush()
 	}
+	for i, pt := range s.points {
+		if pt.session {
+			units = append(units, sweepUnit{single: i})
+			continue
+		}
+		if li, ok := laneOf[pt.cfg]; ok {
+			wave[li] = append(wave[li], i)
+			continue
+		}
+		laneOf[pt.cfg] = len(wave)
+		wave = append(wave, []int{i})
+		if len(wave) == waveWidth {
+			flush()
+		}
+	}
+	flush()
 
 	unitCh := make(chan sweepUnit)
 	var wg sync.WaitGroup
@@ -291,25 +268,43 @@ func (s *Set) runUnit(ctx context.Context, u sweepUnit, out chan<- PointResult) 
 		return
 	}
 
-	cfgs := make([]Config, len(u.lanes))
+	// Build every lane of the wave before running any of them. The
+	// built lanes stay reachable until the wave ends, which keeps the
+	// live heap large and garbage collection rare. Building each lane
+	// only when it starts cut peak RSS of the e2ebench paper-tables
+	// workload from ~96 to ~31 MB but cost ~10% throughput, all of it
+	// GC pacing (GOGC=400 closed the gap). The data images are all
+	// allocated before the pipelines: interleaving the two raised that
+	// workload's peak RSS by ~2 MB.
 	mems := make([]*mem.Memory, len(u.lanes))
-	for li, lane := range u.lanes {
-		cfgs[li] = s.points[lane[0]].cfg
+	for li := range mems {
 		mems[li] = s.w.newMem()
 	}
-	bp, err := core.NewBatchProc(s.shared, cfgs, mems)
-	if err != nil {
-		for _, lane := range u.lanes {
-			for _, idx := range lane {
-				delivered[idx] = true
-				out <- PointResult{Index: idx, Err: err}
+	procs := make([]*core.Proc, len(u.lanes))
+	for li, lane := range u.lanes {
+		p, err := core.NewShared(s.points[lane[0]].cfg, s.shared, mems[li])
+		if err != nil {
+			for _, lane := range u.lanes {
+				for _, idx := range lane {
+					delivered[idx] = true
+					out <- PointResult{Index: idx, Err: err}
+				}
 			}
+			return
 		}
-		return
+		procs[li] = p
 	}
-	t0 := time.Now()
-	runErr := bp.RunContext(ctx, func(li int, stats *core.Stats, err error) {
+	for li, p := range procs {
+		t0 := time.Now()
+		var stats *core.Stats
+		err := ctx.Err()
+		if err == nil {
+			stats, err = p.RunContext(ctx)
+		} else {
+			stats = p.Finalize() // never started: an empty partial result
+		}
 		wall := time.Since(t0)
+		cfg := s.points[u.lanes[li][0]].cfg
 		for _, idx := range u.lanes[li] {
 			delivered[idx] = true
 			if stats == nil {
@@ -319,13 +314,9 @@ func (s *Set) runUnit(ctx context.Context, u sweepUnit, out chan<- PointResult) 
 			st := *stats // each point owns its stats copy
 			out <- PointResult{
 				Index:  idx,
-				Result: newResult(s.w, cfgs[li], &st, err != nil, wall),
+				Result: newResult(s.w, cfg, &st, err != nil, wall),
 				Err:    err,
 			}
 		}
-	})
-	// Every lane was reported through the callback (hard errors with
-	// nil stats, cancellation with partials); runErr only restates the
-	// first of them, so nothing is left to deliver here.
-	_ = runErr
+	}
 }

@@ -72,9 +72,8 @@ func TestSetValidatesEagerly(t *testing.T) {
 }
 
 // TestSweepMatchesSessions is the façade-level differential: every
-// point of a batched sweep must produce statistics bit-identical to a
-// Session built with the same options, and the width-1 legacy path
-// must match too.
+// point of a sweep must produce statistics bit-identical to a Session
+// built with the same options.
 func TestSweepMatchesSessions(t *testing.T) {
 	w := mustLoad(t, "gcc")
 	points := sweepPoints(8_000)
@@ -92,20 +91,61 @@ func TestSweepMatchesSessions(t *testing.T) {
 		want[i] = res.Stats
 	}
 
-	for _, width := range []int{0, 1, 2} {
-		set, err := sim.NewSet(w, points...)
+	set, err := sim.NewSet(w, points...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range collect(t, set) {
+		if res.Partial {
+			t.Errorf("point %d: unexpectedly partial", i)
+		}
+		if res.Stats != want[i] {
+			t.Errorf("point %d: sweep stats diverge from a Session run", i)
+		}
+	}
+}
+
+// TestSweepLaneHardError gives one point an unreachable cycle bound so
+// it fails inside a wave: that point reports its error with a nil
+// Result, and its siblings in the same wave still match their
+// Sessions.
+func TestSweepLaneHardError(t *testing.T) {
+	w := mustLoad(t, "gcc")
+	points := []sim.PointOpts{
+		{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)},
+		{sim.WithMode(sim.CI), sim.WithConfigPatch(func(c *sim.Config) { c.MaxCycles = 64 })},
+		{sim.WithMode(sim.Vect), sim.WithInstrBudget(5_000)},
+	}
+	set, err := sim.NewSet(w, points...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for pr := range set.Sweep(context.Background()) {
+		seen++
+		if pr.Index == 1 {
+			if pr.Err == nil || pr.Result != nil {
+				t.Errorf("bounded point: result=%v err=%v, want nil result and an error", pr.Result, pr.Err)
+			}
+			continue
+		}
+		if pr.Err != nil || pr.Result == nil {
+			t.Fatalf("point %d: result=%v err=%v", pr.Index, pr.Result, pr.Err)
+		}
+		sess, err := sim.New(w, points[pr.Index]...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		set.Width = width
-		for i, res := range collect(t, set) {
-			if res.Partial {
-				t.Errorf("width %d point %d: unexpectedly partial", width, i)
-			}
-			if res.Stats != want[i] {
-				t.Errorf("width %d point %d: sweep stats diverge from a Session run", width, i)
-			}
+		want, err := sess.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
+		if pr.Result.Stats != want.Stats {
+			t.Errorf("point %d: diverges from its Session beside a failed sibling", pr.Index)
+		}
+	}
+	if seen != set.Len() {
+		t.Errorf("%d points reported, want %d", seen, set.Len())
 	}
 }
 
