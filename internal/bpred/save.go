@@ -1,6 +1,10 @@
 package bpred
 
-import "civect/internal/ckpt"
+import (
+	"fmt"
+
+	"civect/internal/ckpt"
+)
 
 // Checkpoint serialization: warm predictor state. Every counter, the
 // global history register and the MBS LRU clock round-trip exactly — a
@@ -33,6 +37,18 @@ func (g *Gshare) LoadState(d *ckpt.Decoder) {
 		g.table[i] = d.U8()
 	}
 	g.history = d.U64()
+}
+
+// CopyFrom makes g an exact copy of src's state — counters and global
+// history — as a SaveState/LoadState round trip would, without the
+// encoding. The entry counts must match.
+func (g *Gshare) CopyFrom(src *Gshare) error {
+	if len(src.table) != len(g.table) {
+		return fmt.Errorf("gshare size mismatch: source has %d entries, predictor has %d", len(src.table), len(g.table))
+	}
+	copy(g.table, src.table)
+	g.history = src.history
+	return nil
 }
 
 // SaveState encodes the MBS table.
@@ -72,4 +88,16 @@ func (m *MBS) LoadState(d *ckpt.Decoder) {
 		w.lru = d.U64()
 	}
 	m.clock = d.U64()
+}
+
+// CopyFrom makes m an exact copy of src's state — every way and the
+// LRU clock — as a SaveState/LoadState round trip would, without the
+// encoding. The geometries must match.
+func (m *MBS) CopyFrom(src *MBS) error {
+	if src.sets != m.sets || src.assoc != m.assoc {
+		return fmt.Errorf("MBS geometry mismatch: source is %dx%d, table is %dx%d", src.sets, src.assoc, m.sets, m.assoc)
+	}
+	copy(m.ways, src.ways)
+	m.clock = src.clock
+	return nil
 }

@@ -62,6 +62,14 @@ type Cache struct {
 	shift    uint // log2(LineBytes)
 	setShift uint // log2(set count)
 	setMsk   uint64
+	// last indexes the line holding the most recently accessed block,
+	// lastBlock is that block's address (addr >> shift); last is -1
+	// when nothing is memoized. Only Access changes which block a line
+	// holds, and it always leaves its own block resident, so a repeat
+	// access to lastBlock is a hit on lines[last]. An index rather than
+	// a pointer keeps GC write barriers off the access path.
+	last      int
+	lastBlock uint64
 
 	Stats Stats
 }
@@ -80,6 +88,7 @@ func New(cfg Config) *Cache {
 		cfg:    cfg,
 		lines:  make([]line, nsets*cfg.Assoc),
 		setMsk: uint64(nsets - 1),
+		last:   -1,
 	}
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		c.shift++
@@ -122,8 +131,17 @@ func (c *Cache) Lookup(addr uint64) bool {
 func (c *Cache) Access(addr uint64, write bool) (hit bool, lat int) {
 	c.clock++
 	c.Stats.Accesses++
+	if c.last >= 0 && addr>>c.shift == c.lastBlock {
+		l := &c.lines[c.last]
+		l.lru = c.clock
+		l.dirty = l.dirty || write
+		c.Stats.Hits++
+		return true, c.cfg.HitLat
+	}
 	set, tag := c.index(addr)
 	lines := c.set(set)
+	base := set * c.cfg.Assoc
+	c.lastBlock = addr >> c.shift
 	for i := range lines {
 		if lines[i].valid && lines[i].tag == tag {
 			lines[i].lru = c.clock
@@ -131,6 +149,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, lat int) {
 				lines[i].dirty = true
 			}
 			c.Stats.Hits++
+			c.last = base + i
 			return true, c.cfg.HitLat
 		}
 	}
@@ -152,6 +171,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, lat int) {
 		}
 	}
 	lines[victim] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
+	c.last = base + victim
 	return false, c.cfg.HitLat + c.cfg.MissLat
 }
 
@@ -163,4 +183,5 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 // Flush invalidates every line (used between runs).
 func (c *Cache) Flush() {
 	clear(c.lines)
+	c.last = -1
 }

@@ -1,6 +1,10 @@
 package cache
 
-import "civect/internal/ckpt"
+import (
+	"fmt"
+
+	"civect/internal/ckpt"
+)
 
 // Checkpoint serialization. Caches are timing state — tags, LRU stamps,
 // hit/miss counters — and all of it must round-trip exactly: a restored
@@ -46,6 +50,22 @@ func (c *Cache) LoadState(d *ckpt.Decoder) {
 	c.Stats.Accesses = d.U64()
 	c.Stats.Hits = d.U64()
 	c.Stats.Misses = d.U64()
+	c.last = -1
+}
+
+// CopyFrom makes c an exact copy of src's state — lines, clock and
+// statistics — as a SaveState/LoadState round trip would, without the
+// encoding. The geometries must match.
+func (c *Cache) CopyFrom(src *Cache) error {
+	if len(src.lines) != len(c.lines) || src.cfg.Assoc != c.cfg.Assoc || src.cfg.LineBytes != c.cfg.LineBytes {
+		return fmt.Errorf("cache geometry mismatch: source is %d lines of %dB, %d-way; cache is %d lines of %dB, %d-way",
+			len(src.lines), src.cfg.LineBytes, src.cfg.Assoc, len(c.lines), c.cfg.LineBytes, c.cfg.Assoc)
+	}
+	copy(c.lines, src.lines)
+	c.clock = src.clock
+	c.Stats = src.Stats
+	c.last = -1
+	return nil
 }
 
 // SaveState encodes the hierarchy: its cycle cursor, in-flight misses,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"civect/internal/bpred"
@@ -1001,23 +1002,6 @@ func RestoreCheckpoint(data []byte, sp *SharedProgram, base *mem.Memory) (*Proc,
 	return p, nil
 }
 
-// copyState transfers one component's serialized state into another
-// instance of identical geometry via the checkpoint codec — the
-// transplant mechanism functional warming uses.
-func copyState(save func(*ckpt.Encoder), load func(*ckpt.Decoder)) error {
-	var e ckpt.Encoder
-	save(&e)
-	d := ckpt.NewDecoder(e.Bytes())
-	load(d)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("core: warm-state transplant left %d bytes", d.Remaining())
-	}
-	return nil
-}
-
 // AdoptWarmState installs functionally-warmed microarchitectural state
 // — branch predictor, MBS filter, stride predictor and the four cache
 // levels' tag/LRU arrays — into a freshly built processor, SMARTS-style:
@@ -1033,31 +1017,25 @@ func (p *Proc) AdoptWarmState(g *bpred.Gshare, mbs *bpred.MBS, sp *stride.Predic
 	if p.cycle != 0 || p.seq != 0 || p.Stats.Committed != 0 {
 		return fmt.Errorf("core: AdoptWarmState on a processor that has already run (cycle %d)", p.cycle)
 	}
-	type pair struct {
-		save func(*ckpt.Encoder)
-		load func(*ckpt.Decoder)
-	}
-	var pairs []pair
+	var errs []error
 	if g != nil {
-		pairs = append(pairs, pair{g.SaveState, p.bp.LoadState})
+		errs = append(errs, p.bp.CopyFrom(g))
 	}
 	if mbs != nil {
-		pairs = append(pairs, pair{mbs.SaveState, p.mbs.LoadState})
+		errs = append(errs, p.mbs.CopyFrom(mbs))
 	}
 	if sp != nil {
-		pairs = append(pairs, pair{sp.SaveState, p.sp.LoadState})
+		errs = append(errs, p.sp.CopyFrom(sp))
 	}
 	for _, c := range []struct{ src, dst *cache.Cache }{
 		{l1i, p.hier.L1I}, {l1d, p.hier.L1D}, {l2, p.hier.L2}, {l3, p.hier.L3},
 	} {
 		if c.src != nil {
-			pairs = append(pairs, pair{c.src.SaveState, c.dst.LoadState})
+			errs = append(errs, c.dst.CopyFrom(c.src))
 		}
 	}
-	for _, pr := range pairs {
-		if err := copyState(pr.save, pr.load); err != nil {
-			return fmt.Errorf("core: warm-state transplant: %w", err)
-		}
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("core: warm-state transplant: %w", err)
 	}
 	return nil
 }

@@ -14,18 +14,20 @@ import (
 // Step describes the architectural effect of a single executed
 // instruction; the timing simulator's tests use it to cross-check
 // committed instructions, and trace-driven analyses consume it directly.
+// The fields are ordered so a Step packs into 64 bytes, one cache line:
+// the sampled pipeline streams millions of them between cores.
 type Step struct {
 	PC    int
 	Instr isa.Instr
 	// NextPC is the PC after this instruction (branch-resolved).
 	NextPC int
-	// Taken is set for conditional branches that were taken.
-	Taken bool
 	// Addr is the effective address for loads and stores.
 	Addr uint64
 	// Value is the register result (loads/ALU) or the stored value.
 	Value uint64
-	// WrotePC is the destination register when the instruction writes one.
+	// Taken is set for conditional branches that were taken.
+	Taken bool
+	// Dest is the destination register when the instruction writes one.
 	Dest    isa.Reg
 	HasDest bool
 }
@@ -56,12 +58,25 @@ var ErrLimit = fmt.Errorf("emu: instruction limit reached")
 // StepOne executes the instruction at the current PC and advances.
 // Calling StepOne on a halted CPU is a no-op returning a Halt step.
 func (c *CPU) StepOne(p *isa.Program) Step {
+	var s Step
+	c.StepInto(p, &s)
+	return s
+}
+
+// StepInto is StepOne writing its Step into *s, so a caller recording
+// a long run of steps can fill a reused buffer in place.
+func (c *CPU) StepInto(p *isa.Program, s *Step) {
 	in := p.At(c.PC)
-	s := Step{PC: c.PC, Instr: in, NextPC: c.PC + 1}
+	// Field by field, not *s = Step{...}: the composite literal is built
+	// on the stack and block-copied, and the copy's wide loads stall on
+	// the narrow stores that just built it.
+	s.PC, s.Instr, s.NextPC = c.PC, in, c.PC+1
+	s.Addr, s.Value = 0, 0
+	s.Taken, s.Dest, s.HasDest = false, 0, false
 	if c.Halted {
 		s.Instr = isa.Instr{Op: isa.OpHalt}
 		s.NextPC = c.PC
-		return s
+		return
 	}
 
 	ra := c.Regs[in.Ra]
@@ -145,18 +160,18 @@ func (c *CPU) StepOne(p *isa.Program) Step {
 	}
 	c.PC = s.NextPC
 	c.Executed++
-	return s
 }
 
 // Run executes the program until it halts or maxInstr instructions have
 // executed (maxInstr <= 0 means no limit). It returns ErrLimit if the
 // budget ran out first.
 func (c *CPU) Run(p *isa.Program, maxInstr uint64) error {
+	var s Step
 	for !c.Halted {
 		if maxInstr > 0 && c.Executed >= maxInstr {
 			return ErrLimit
 		}
-		c.StepOne(p)
+		c.StepInto(p, &s)
 	}
 	return nil
 }

@@ -249,3 +249,31 @@ func TestRegChecksumSensitivity(t *testing.T) {
 		t.Error("checksum must depend on register position")
 	}
 }
+
+// TestStepIntoMatchesStepOne: StepInto overwrites every field of a
+// reused slot, so filling a dirty buffer in place records exactly the
+// Steps StepOne returns, through the halt and past it.
+func TestStepIntoMatchesStepOne(t *testing.T) {
+	src := `
+        movi r1, 0x200
+        movi r3, 3
+loop:   ld   r2, 8(r1)
+        st   r3, 16(r1)
+        subi r3, r3, 1
+        bnez r3, loop
+        halt
+`
+	p := asm.MustAssemble("into", src)
+	a, b := New(nil), New(nil)
+	slot := Step{PC: -1, Instr: isa.Instr{Op: isa.OpSt, Imm: 7}, NextPC: 99, Addr: 1, Value: 2, Taken: true, Dest: 9, HasDest: true}
+	for i := 0; i < 20; i++ {
+		want := a.StepOne(p)
+		b.StepInto(p, &slot)
+		if slot != want {
+			t.Fatalf("step %d: StepInto wrote %+v, StepOne returned %+v", i, slot, want)
+		}
+	}
+	if a.Snapshot() != b.Snapshot() || !b.Halted {
+		t.Fatalf("CPUs diverged: %+v vs %+v", a.Snapshot(), b.Snapshot())
+	}
+}

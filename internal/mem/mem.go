@@ -7,6 +7,10 @@
 // simulator executes wrong-path loads for real, and a total (never
 // faulting) memory keeps wrong paths harmless, exactly like SimpleScalar's
 // speculative memory mode.
+//
+// A Memory is not safe for concurrent use, not even by concurrent
+// readers: every lookup, Read64 included, updates the memory's
+// last-page memo. Give each goroutine its own Clone.
 package mem
 
 const (
@@ -20,23 +24,35 @@ const (
 // empty memory ready to use.
 type Memory struct {
 	pages map[uint64]*[pageWords]uint64
+	// lastKey and lastPage memoize the most recent lookup that found
+	// (or created) a page; lastPage is nil when nothing is memoized.
+	// Pages are never removed or replaced, so the memo cannot go
+	// stale.
+	lastKey  uint64
+	lastPage *[pageWords]uint64
 }
 
 // New returns an empty memory.
 func New() *Memory { return &Memory{pages: make(map[uint64]*[pageWords]uint64)} }
 
 func (m *Memory) page(addr uint64, create bool) *[pageWords]uint64 {
+	key := addr >> pageShift
+	if m.lastPage != nil && m.lastKey == key {
+		return m.lastPage
+	}
 	if m.pages == nil {
 		if !create {
 			return nil
 		}
 		m.pages = make(map[uint64]*[pageWords]uint64)
 	}
-	key := addr >> pageShift
 	p := m.pages[key]
 	if p == nil && create {
 		p = new([pageWords]uint64)
 		m.pages[key] = p
+	}
+	if p != nil {
+		m.lastKey, m.lastPage = key, p
 	}
 	return p
 }

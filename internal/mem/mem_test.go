@@ -3,6 +3,8 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+
+	"civect/internal/ckpt"
 )
 
 func TestZeroValueUsable(t *testing.T) {
@@ -81,6 +83,37 @@ func TestClone(t *testing.T) {
 	m.Write64(0x2000, 77)
 	if c.Read64(0x2000) != 6 {
 		t.Error("original write leaked into clone")
+	}
+}
+
+// TestLookupMemoIsPerMemory: the last-page memo belongs to one Memory.
+// A clone or a delta-loaded image starts without it, so writes through
+// them never land in the page the original last touched.
+func TestLookupMemoIsPerMemory(t *testing.T) {
+	m := New()
+	m.Write64(0x10, 5) // m memoizes page 0
+	c := m.Clone()
+	c.Write64(0x18, 9)
+	if m.Read64(0x18) != 0 {
+		t.Error("clone write landed in the original's memoized page")
+	}
+
+	var e ckpt.Encoder
+	m.SaveDelta(&e, nil)
+	m.Read64(0x10)
+	loaded := LoadDelta(ckpt.NewDecoder(e.Bytes()), m)
+	loaded.Write64(0x20, 4)
+	if m.Read64(0x20) != 0 || loaded.Read64(0x10) != 5 {
+		t.Error("delta-loaded image shares the base's memoized page")
+	}
+
+	// A miss on an unmapped page memoizes nothing.
+	if m.Read64(0x5000) != 0 {
+		t.Fatal("unmapped read not zero")
+	}
+	m.Write64(0x5000, 3)
+	if m.Read64(0x5000) != 3 || m.Read64(0x10) != 5 {
+		t.Error("reads after a page miss returned stale data")
 	}
 }
 

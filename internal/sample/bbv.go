@@ -15,7 +15,10 @@
 package sample
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"civect/internal/emu"
 	"civect/internal/isa"
@@ -94,12 +97,14 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// projectSign returns the ±1 projection weight of block b on dim d.
-func projectSign(b, d int) float64 {
-	if splitmix64(uint64(b)<<32|uint64(d))&1 == 0 {
-		return 1
+// signMask returns block b's projection row: bit d clear is weight +1
+// on dim d, set is −1.
+func signMask(b int) uint32 {
+	var m uint32
+	for d := 0; d < Dims; d++ {
+		m |= uint32(splitmix64(uint64(b)<<32|uint64(d))&1) << d
 	}
-	return -1
+	return m
 }
 
 // Profiler accumulates the current interval's raw block counts and
@@ -107,27 +112,52 @@ func projectSign(b, d int) float64 {
 type profiler struct {
 	cfg     Config
 	blockOf []int
+	signs   []uint32 // signMask per block
 	counts  []uint64 // raw instr-weighted block counts, current interval
+	touched []int    // blocks with a nonzero count, in first-touch order
 	inIntvl uint64   // instructions in the current interval
 	out     Profile
 }
 
+// observe counts a batch of executed instructions, flushing at every
+// interval boundary.
+func (pr *profiler) observe(steps []emu.Step) {
+	for i := range steps {
+		b := pr.blockOf[steps[i].PC]
+		if pr.counts[b] == 0 {
+			pr.touched = append(pr.touched, b)
+		}
+		pr.counts[b]++
+		pr.inIntvl++
+		if pr.inIntvl == pr.cfg.IntervalLen {
+			pr.flush()
+		}
+	}
+}
+
+// flush projects the interval's counts onto Dims dims. Blocks are
+// summed in ascending order, and w·(±1) is exactly ±w, so each vector
+// is bit-identical to the dense sum over all blocks.
 func (pr *profiler) flush() {
 	if pr.inIntvl == 0 {
 		return
 	}
 	var v [Dims]float64
 	norm := 1 / float64(pr.inIntvl)
-	for b, c := range pr.counts {
-		if c == 0 {
-			continue
-		}
-		w := float64(c) * norm
+	slices.Sort(pr.touched)
+	for _, b := range pr.touched {
+		w := float64(pr.counts[b]) * norm
+		signs := pr.signs[b]
 		for d := 0; d < Dims; d++ {
-			v[d] += w * projectSign(b, d)
+			if signs>>d&1 == 0 {
+				v[d] += w
+			} else {
+				v[d] -= w
+			}
 		}
 		pr.counts[b] = 0
 	}
+	pr.touched = pr.touched[:0]
 	pr.out.Vectors = append(pr.out.Vectors, v)
 	pr.out.Lengths = append(pr.out.Lengths, pr.inIntvl)
 	pr.inIntvl = 0
@@ -140,31 +170,27 @@ func Collect(prog *isa.Program, image *mem.Memory, cfg Config) (*Profile, error)
 		return nil, fmt.Errorf("sample: interval length must be positive")
 	}
 	blockOf, numBlocks := blockLeaders(prog)
+	signs := make([]uint32, numBlocks)
+	for b := range signs {
+		signs[b] = signMask(b)
+	}
 	pr := &profiler{
 		cfg:     cfg,
 		blockOf: blockOf,
+		signs:   signs,
 		counts:  make([]uint64, numBlocks),
 		out:     Profile{IntervalLen: cfg.IntervalLen, NumBlocks: numBlocks},
 	}
-	var m *mem.Memory
-	if image != nil {
-		m = image.Clone()
+	limit := cfg.MaxInstr
+	if limit == 0 {
+		limit = math.MaxUint64
 	}
-	cpu := emu.New(m)
-	for !cpu.Halted {
-		if cfg.MaxInstr > 0 && cpu.Executed >= cfg.MaxInstr {
-			break
-		}
-		pc := cpu.PC
-		cpu.StepOne(prog)
-		pr.counts[blockOf[pc]]++
-		pr.inIntvl++
-		if pr.inIntvl == cfg.IntervalLen {
-			pr.flush()
-		}
-	}
+	ps := newPass(prog, image)
+	// Collect has no context to cancel it, and advance fails only on
+	// cancellation.
+	_ = ps.advance(context.Background(), limit, pr.observe)
 	pr.flush()
-	pr.out.TotalInstr = cpu.Executed
+	pr.out.TotalInstr = ps.cpu.Executed
 	if len(pr.out.Vectors) == 0 {
 		return nil, fmt.Errorf("sample: workload executed no instructions")
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"civect/internal/core"
-	"civect/internal/emu"
 	"civect/internal/isa"
 	"civect/internal/mem"
 )
@@ -104,7 +103,7 @@ func metricsOf(a, b *core.Stats) (uint64, uint64, []float64) {
 // detailed machine configuration (its MaxInstr/MaxCycles are ignored —
 // the plan bounds each sample). warmup is the detailed warmup in
 // instructions before each measured interval. ctx cancels between
-// samples.
+// samples and, within the functional pass, between batches.
 func Run(ctx context.Context, plan *Plan, prog *isa.Program, image *mem.Memory, cfg core.Config, warmup uint64) (*Estimate, error) {
 	if len(plan.Samples) == 0 {
 		return nil, fmt.Errorf("sample: empty plan")
@@ -113,32 +112,16 @@ func Run(ctx context.Context, plan *Plan, prog *isa.Program, image *mem.Memory, 
 	if err != nil {
 		return nil, err
 	}
-	var m *mem.Memory
-	if image != nil {
-		m = image.Clone()
-	}
-	cpu := emu.New(m)
+	ps := newPass(prog, image)
 	w := newWarmer(&cfg)
 
 	est := &Estimate{TotalInstr: plan.TotalInstr}
 	for _, s := range plan.Samples {
-		if err := ctx.Err(); err != nil {
+		if err := w.advance(ctx, ps, s, warmup); err != nil {
 			return nil, err
 		}
-		warmStart := uint64(0)
-		if s.Start > warmup {
-			warmStart = s.Start - warmup
-		}
-		for !cpu.Halted && cpu.Executed < warmStart {
-			s := cpu.StepOne(prog)
-			w.observe(&s)
-		}
-		if cpu.Executed != warmStart {
-			return nil, fmt.Errorf("sample: stream ended at %d before sample start %d (stale plan?)", cpu.Executed, s.Start)
-		}
-
-		warmupInstr := s.Start - warmStart
-		res, detailed, err := measureSample(sp, cfg, s, warmupInstr, cpu.Mem.Clone(), cpu.Regs, cpu.PC, w)
+		cpu := ps.cpu
+		res, detailed, err := measureSample(sp, cfg, s, s.Start-cpu.Executed, cpu.Mem.Clone(), cpu.Regs, cpu.PC, w)
 		if err != nil {
 			return nil, err
 		}

@@ -2,9 +2,12 @@ package sample
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"civect/internal/core"
 	"civect/internal/workload"
@@ -204,7 +207,34 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunCanceled proves context cancellation surfaces between samples.
+// cancelAfter is a context whose Err starts reporting cancellation on
+// its n-th call: a deterministic way to cancel in the middle of a
+// functional segment, which polls Err once per batch.
+type cancelAfter struct {
+	context.Context
+	n, calls int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// lateSamplePlan is a one-sample plan whose warmup starts deep in the
+// stream, so reaching it is one long functional segment.
+func lateSamplePlan(prof *Profile) *Plan {
+	last := len(prof.Lengths) - 1
+	return &Plan{IntervalLen: prof.IntervalLen, TotalInstr: prof.TotalInstr, K: 1, Samples: []PlanSample{
+		{Interval: last, Start: uint64(last) * prof.IntervalLen, Len: prof.Lengths[last], Weight: 1},
+	}}
+}
+
+// TestRunCanceled proves cancellation surfaces both before the first
+// sample and in the middle of a functional segment: a sampled job stops
+// within a batch of the cancel, not at the next sample.
 func TestRunCanceled(t *testing.T) {
 	wl, err := workload.Spec("gcc")
 	if err != nil {
@@ -218,5 +248,93 @@ func TestRunCanceled(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, prof.BuildPlan(3), wl.Program, wl.NewMem(), core.DefaultConfig(core.ModeCI), 500); err == nil {
 		t.Fatal("canceled run returned no error")
+	}
+
+	long, err := Collect(wl.Program, wl.NewMem(), Config{IntervalLen: 50_000, MaxInstr: 1_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := lateSamplePlan(long)
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context) error
+	}{
+		{"Run", func(ctx context.Context) error {
+			_, err := Run(ctx, plan, wl.Program, wl.NewMem(), core.DefaultConfig(core.ModeCI), 500)
+			return err
+		}},
+		{"CaptureState", func(ctx context.Context) error {
+			_, err := CaptureState(ctx, plan, wl.Program, wl.NewMem(), core.DefaultConfig(core.ModeCI), 500)
+			return err
+		}},
+	} {
+		// Call 1 is the check on entering the segment, call 2 the first
+		// batch's; cancellation lands before the third of ~60 batches.
+		ctx := &cancelAfter{Context: context.Background(), n: 4}
+		if err := tc.run(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s canceled mid-segment returned %v, want context.Canceled", tc.name, err)
+		}
+		if ctx.calls != ctx.n {
+			t.Errorf("%s polled ctx %d times after it was canceled on call %d", tc.name, ctx.calls, ctx.n)
+		}
+	}
+}
+
+// TestNoGoroutineLeak: Collect, Run and CaptureState start their
+// consumer goroutines and join them before returning — on success, on
+// a stale-plan error and on cancellation alike.
+func TestNoGoroutineLeak(t *testing.T) {
+	wl, err := workload.SpecWithIters("gzip", 2000) // halts after ~53k instructions
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := Collect(wl.Program, wl.NewMem(), Config{IntervalLen: 5_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := prof.BuildPlan(3)
+	stale := &Plan{IntervalLen: prof.IntervalLen, TotalInstr: 10 * prof.TotalInstr, K: 1, Samples: []PlanSample{
+		{Interval: 99, Start: 2 * prof.TotalInstr, Len: 5_000, Weight: 1},
+	}}
+	cfg := core.DefaultConfig(core.ModeCI)
+	bg := context.Background()
+	run := func(ctx context.Context, plan *Plan) error {
+		_, err := Run(ctx, plan, wl.Program, wl.NewMem(), cfg, 1_000)
+		return err
+	}
+	capture := func(ctx context.Context, plan *Plan) error {
+		_, err := CaptureState(ctx, plan, wl.Program, wl.NewMem(), cfg, 1_000)
+		return err
+	}
+	cases := []struct {
+		name    string
+		call    func() error
+		wantErr bool
+	}{
+		{"Collect", func() error {
+			_, err := Collect(wl.Program, wl.NewMem(), Config{IntervalLen: 5_000})
+			return err
+		}, false},
+		{"Run", func() error { return run(bg, good) }, false},
+		{"Run/stale", func() error { return run(bg, stale) }, true},
+		{"Run/canceled", func() error { return run(&cancelAfter{Context: bg, n: 3}, stale) }, true},
+		{"CaptureState", func() error { return capture(bg, good) }, false},
+		{"CaptureState/stale", func() error { return capture(bg, stale) }, true},
+		{"CaptureState/canceled", func() error { return capture(&cancelAfter{Context: bg, n: 3}, stale) }, true},
+	}
+	for _, tc := range cases {
+		base := runtime.NumGoroutine()
+		if err := tc.call(); (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error: %v", tc.name, err, tc.wantErr)
+		}
+		// A joined goroutine has finished its work but may not have
+		// exited yet; give it a moment to leave the count.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%s: %d goroutines after return, %d before", tc.name, n, base)
+		}
 	}
 }

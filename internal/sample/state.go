@@ -6,7 +6,6 @@ import (
 
 	"civect/internal/ckpt"
 	"civect/internal/core"
-	"civect/internal/emu"
 	"civect/internal/isa"
 	"civect/internal/mem"
 )
@@ -27,8 +26,9 @@ import (
 //
 // The contract is bit-identity: RunFromState over a capture must
 // return exactly the Estimate Run would produce live (both funnel into
-// measureSample, and the warm structures round-trip through the same
-// SaveState/LoadState encoding AdoptWarmState uses internally).
+// measureSample; the file's warm structures round-trip through
+// SaveState/LoadState, and each structure's CopyFrom, which
+// AdoptWarmState uses, is tested to equal that round trip).
 
 // StateVersion is the CIVK payload version for sample-state files. The
 // CIVK version space is shared across payload kinds — 1 is the
@@ -59,11 +59,7 @@ func CaptureState(ctx context.Context, plan *Plan, prog *isa.Program, image *mem
 	if len(plan.Samples) == 0 {
 		return nil, fmt.Errorf("sample: empty plan")
 	}
-	var m *mem.Memory
-	if image != nil {
-		m = image.Clone()
-	}
-	cpu := emu.New(m)
+	ps := newPass(prog, image)
 	w := newWarmer(&cfg)
 
 	var e ckpt.Encoder
@@ -87,20 +83,10 @@ func CaptureState(ctx context.Context, plan *Plan, prog *isa.Program, image *mem
 	}
 
 	for _, s := range plan.Samples {
-		if err := ctx.Err(); err != nil {
+		if err := w.advance(ctx, ps, s, warmup); err != nil {
 			return nil, err
 		}
-		warmStart := uint64(0)
-		if s.Start > warmup {
-			warmStart = s.Start - warmup
-		}
-		for !cpu.Halted && cpu.Executed < warmStart {
-			st := cpu.StepOne(prog)
-			w.observe(&st)
-		}
-		if cpu.Executed != warmStart {
-			return nil, fmt.Errorf("sample: stream ended at %d before sample start %d (stale plan?)", cpu.Executed, s.Start)
-		}
+		cpu := ps.cpu
 		e.Tag("sample")
 		e.Int(cpu.PC)
 		for _, r := range cpu.Regs {
@@ -213,11 +199,7 @@ func RunFromState(ctx context.Context, data []byte, prog *isa.Program, image *me
 			return nil, err
 		}
 
-		warmStart := uint64(0)
-		if s.Start > info.Warmup {
-			warmStart = s.Start - info.Warmup
-		}
-		res, detailed, err := measureSample(sp, info.Config, s, s.Start-warmStart, m, regs, pc, w)
+		res, detailed, err := measureSample(sp, info.Config, s, s.Start-warmStart(s, info.Warmup), m, regs, pc, w)
 		if err != nil {
 			return nil, err
 		}

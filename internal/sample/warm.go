@@ -1,6 +1,9 @@
 package sample
 
 import (
+	"context"
+	"fmt"
+
 	"civect/internal/bpred"
 	"civect/internal/cache"
 	"civect/internal/core"
@@ -39,31 +42,56 @@ func newWarmer(cfg *core.Config) *warmer {
 	}
 }
 
-// observe feeds one architecturally executed instruction, mirroring the
-// detailed machine's training points: gshare/MBS train on conditional
-// branch outcomes, the stride predictor on committed load addresses,
-// the caches on the fetch and data streams with the hierarchy's miss
-// path (L1 miss walks outward).
-func (w *warmer) observe(s *emu.Step) {
-	if hit, _ := w.l1i.Access(uint64(s.PC)*core.InstBytes, false); !hit {
-		w.l2.Access(uint64(s.PC)*core.InstBytes, false)
-	}
-	if s.Instr.IsCondBranch() {
-		w.g.Update(uint64(s.PC), s.Taken)
-		w.mbs.Update(uint64(s.PC), s.Taken)
-		return
-	}
-	if s.Instr.IsLoad() {
-		w.sp.Observe(uint64(s.PC), s.Addr)
-	}
-	if s.Instr.IsLoad() || s.Instr.IsStore() {
-		write := s.Instr.IsStore()
-		if hit, _ := w.l1d.Access(s.Addr, write); !hit {
-			if h2, _ := w.l2.Access(s.Addr, write); !h2 {
-				w.l3.Access(s.Addr, write)
+// observe feeds a batch of architecturally executed instructions, in
+// stream order, mirroring the detailed machine's training points:
+// gshare/MBS train on conditional branch outcomes, the stride predictor
+// on committed load addresses, the caches on the fetch and data streams
+// with the hierarchy's miss path (L1 miss walks outward).
+func (w *warmer) observe(steps []emu.Step) {
+	for i := range steps {
+		s := &steps[i]
+		if hit, _ := w.l1i.Access(uint64(s.PC)*core.InstBytes, false); !hit {
+			w.l2.Access(uint64(s.PC)*core.InstBytes, false)
+		}
+		if s.Instr.IsCondBranch() {
+			w.g.Update(uint64(s.PC), s.Taken)
+			w.mbs.Update(uint64(s.PC), s.Taken)
+			continue
+		}
+		if s.Instr.IsLoad() {
+			w.sp.Observe(uint64(s.PC), s.Addr)
+		}
+		if s.Instr.IsLoad() || s.Instr.IsStore() {
+			write := s.Instr.IsStore()
+			if hit, _ := w.l1d.Access(s.Addr, write); !hit {
+				if h2, _ := w.l2.Access(s.Addr, write); !h2 {
+					w.l3.Access(s.Addr, write)
+				}
 			}
 		}
 	}
+}
+
+// warmStart is where sample s's detailed warmup begins: warmup
+// instructions before its start, clamped at stream start.
+func warmStart(s PlanSample, warmup uint64) uint64 {
+	if s.Start > warmup {
+		return s.Start - warmup
+	}
+	return 0
+}
+
+// advance fast-forwards ps to sample s's warmup start, warming w with
+// every instruction on the way. It fails if the stream ends first.
+func (w *warmer) advance(ctx context.Context, ps *pass, s PlanSample, warmup uint64) error {
+	target := warmStart(s, warmup)
+	if err := ps.advance(ctx, target, w.observe); err != nil {
+		return err
+	}
+	if ps.cpu.Executed != target {
+		return fmt.Errorf("sample: stream ended at %d before sample start %d (stale plan?)", ps.cpu.Executed, s.Start)
+	}
+	return nil
 }
 
 // adoptInto transplants the warm state into a fresh detailed machine.

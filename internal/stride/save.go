@@ -1,6 +1,10 @@
 package stride
 
-import "civect/internal/ckpt"
+import (
+	"fmt"
+
+	"civect/internal/ckpt"
+)
 
 // Checkpoint serialization: the warm stride table, LRU stamps and clock
 // included — replacement decisions after a restore must match the
@@ -46,4 +50,16 @@ func (p *Predictor) LoadState(d *ckpt.Decoder) {
 		w.lru = d.U64()
 	}
 	p.clock = d.U64()
+}
+
+// CopyFrom makes p an exact copy of src's state — every way and the
+// LRU clock — as a SaveState/LoadState round trip would, without the
+// encoding. The geometries must match.
+func (p *Predictor) CopyFrom(src *Predictor) error {
+	if src.sets != p.sets || src.assoc != p.assoc {
+		return fmt.Errorf("stride geometry mismatch: source is %dx%d, predictor is %dx%d", src.sets, src.assoc, p.sets, p.assoc)
+	}
+	copy(p.ways, src.ways)
+	p.clock = src.clock
+	return nil
 }
