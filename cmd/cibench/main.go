@@ -158,7 +158,6 @@ func measureSweep(bench string, instr uint64) (sim.BenchResult, error) {
 				runErr = err
 				return
 			}
-			set.Workers = 1
 			results, err := set.Run(context.Background())
 			if err != nil {
 				runErr = err

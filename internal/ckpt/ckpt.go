@@ -26,7 +26,6 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 )
 
 // Magic identifies a CIVK checkpoint container.
@@ -265,28 +264,19 @@ func Version(data []byte) (uint32, error) {
 	return binary.LittleEndian.Uint32(data[4:8]), nil
 }
 
-// WriteFile atomically writes a sealed container to path: the bytes land
-// in a temporary file in the same directory which is renamed over the
-// destination, so a crash mid-write never leaves a half-written
-// checkpoint where a resume would find it.
+// WriteFile atomically writes a sealed container to path through an
+// AtomicFile, so a crash never leaves a half-written checkpoint where
+// a resume would find it.
 func WriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	af, err := NewAtomicFile(path)
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	defer af.Abort()
+	if _, err := af.Write(data); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := af.Commit(); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
 	return nil

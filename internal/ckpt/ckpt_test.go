@@ -172,3 +172,31 @@ func TestWriteFileAtomicRoundTrip(t *testing.T) {
 		t.Fatalf("directory holds %d entries, want just the checkpoint", len(ents))
 	}
 }
+
+// TestWriteFileFailureLeavesNoTrace: when the final rename fails (the
+// destination is a directory), WriteFile reports the error, removes its
+// temp file and leaves the destination exactly as it was.
+func TestWriteFileFailureLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.civk")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	keep := filepath.Join(path, "keep")
+	if err := os.WriteFile(keep, []byte("untouched"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(path, Seal(1, samplePayload(t))); err == nil {
+		t.Fatal("WriteFile over a directory succeeded")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "state.civk" || !ents[0].IsDir() {
+		t.Fatalf("directory holds %v, want only the untouched destination directory", ents)
+	}
+	if got, err := os.ReadFile(keep); err != nil || string(got) != "untouched" {
+		t.Fatalf("destination contents changed: %q, %v", got, err)
+	}
+}

@@ -100,10 +100,11 @@ var plannerStats = &core.Stats{
 	Loads: 100, Stores: 10,
 }
 
-// Harness memoizes simulation runs across experiments. A shared
-// semaphore bounds simulation workers in flight regardless of how many
-// experiments, prefetch sweeps or RunAll fan-outs share the harness, so
-// Options.Workers is an end-to-end concurrency bound.
+// Harness memoizes simulation runs across experiments. Every
+// simulation it starts — a cache-miss session or a whole prefetch
+// sweep — runs through one sim.Batch of Options.Workers slots, however
+// many experiments, prefetch sweeps or RunAll fan-outs share the
+// harness, so Options.Workers is an end-to-end concurrency bound.
 type Harness struct {
 	opt  Options
 	mode harnessMode
@@ -118,10 +119,7 @@ type Harness struct {
 	// (sweep.RunShard, sweep.Tables).
 	requested map[RunSpec]bool
 
-	// sem bounds simulation workers; cur/maxCur (under mu) gauge them.
-	sem    chan struct{}
-	cur    int
-	maxCur int
+	batch *sim.Batch
 }
 
 // New builds a harness.
@@ -131,27 +129,8 @@ func New(opt Options) *Harness {
 		opt:       opt,
 		cache:     make(map[RunSpec]*core.Stats),
 		requested: make(map[RunSpec]bool),
-		sem:       make(chan struct{}, opt.Workers),
+		batch:     sim.NewBatch(opt.Workers),
 	}
-}
-
-// acquire claims one simulation worker slot, updating the concurrency
-// gauge; every slot claimed must be released.
-func (h *Harness) acquire() {
-	h.sem <- struct{}{}
-	h.mu.Lock()
-	h.cur++
-	if h.cur > h.maxCur {
-		h.maxCur = h.cur
-	}
-	h.mu.Unlock()
-}
-
-func (h *Harness) release() {
-	h.mu.Lock()
-	h.cur--
-	h.mu.Unlock()
-	<-h.sem
 }
 
 // NewPlanner builds a harness whose Run records specs instead of
@@ -304,24 +283,18 @@ func (h *Harness) Run(s RunSpec) (*core.Stats, error) {
 	}
 	h.mu.Unlock()
 
-	// Cache miss: simulate the spec as a one-point set. The prefetch
-	// path keeps RunExperiments and sweep shards from ever landing
-	// here; direct Run/RunAll callers pay one session per miss.
+	// Cache miss: simulate the spec as one session. The prefetch path
+	// keeps RunExperiments and sweep shards from ever landing here;
+	// direct Run/RunAll callers pay one session per miss.
 	w, err := sim.Load(s.Bench)
 	if err != nil {
 		return nil, err
 	}
-	set, err := sim.NewSet(w, sim.PointOpts(specOptions(s)))
+	res, err := h.batch.Run(context.Background(), w, specOptions(s)...)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%v: %v", s.Bench, s.Mode, err)
 	}
-	h.acquire()
-	results, err := set.Run(context.Background())
-	h.release()
-	if err != nil {
-		return nil, fmt.Errorf("%s/%v: %v", s.Bench, s.Mode, err)
-	}
-	st := &results[0].Stats
+	st := &res.Stats
 
 	h.mu.Lock()
 	// A concurrent identical miss may have raced us here; keep the
@@ -338,8 +311,8 @@ func (h *Harness) Run(s RunSpec) (*core.Stats, error) {
 
 // Prefetch simulates the given specs through per-benchmark sim.Set
 // sweeps and primes the cache, so subsequent Run calls for them are
-// hits. Specs already cached are skipped; up to Options.Workers
-// benchmark sweeps run concurrently. Prefetching does not mark specs
+// hits. Specs already cached are skipped; each benchmark's sweep holds
+// one of the Options.Workers slots. Prefetching does not mark specs
 // as requested — plan-vs-execution accounting (ExecutedSpecs,
 // UnusedPrimed) still reflects what the experiments actually ask for.
 func (h *Harness) Prefetch(specs []RunSpec) error {
@@ -401,10 +374,7 @@ func (h *Harness) prefetchBench(bench string, specs []RunSpec) error {
 	if err != nil {
 		return fmt.Errorf("%s: %v", bench, err)
 	}
-	set.Workers = 1 // the harness semaphore is the concurrency bound
-	h.acquire()
-	results, err := set.Run(context.Background())
-	h.release()
+	results, err := h.batch.RunSet(context.Background(), set)
 	if err != nil {
 		return fmt.Errorf("%s: %v", bench, err)
 	}
@@ -414,14 +384,10 @@ func (h *Harness) prefetchBench(bench string, specs []RunSpec) error {
 	return nil
 }
 
-// MaxConcurrent returns the highest number of simulation workers that
-// have executed simultaneously on this harness (never above
-// Options.Workers; a prefetch sweep counts as one worker).
-func (h *Harness) MaxConcurrent() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.maxCur
-}
+// MaxConcurrent returns the highest number of simulations that have
+// run simultaneously on the harness's batch (never above
+// Options.Workers; a prefetch sweep counts as one).
+func (h *Harness) MaxConcurrent() int { return h.batch.MaxConcurrent() }
 
 // RunExperiments plans the experiments' sweep with a dry run, batch-
 // prefetches it, then runs the experiments concurrently — each in its

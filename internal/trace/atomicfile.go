@@ -1,17 +1,11 @@
 package trace
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-)
+import "civect/internal/ckpt"
 
-// AtomicFile is a journal sink that makes publication atomic: bytes go
-// to a hidden temp file in the destination's directory, and only an
-// explicit Commit renames it into place. A crash, a write error or a
-// cancelled recording therefore never leaves a truncated or unsealed
-// file where readers expect a valid journal — the destination path
-// either holds a complete, trailer-sealed artifact or does not exist.
+// AtomicFile is a journal sink that makes publication atomic (see
+// ckpt.AtomicFile): the destination path either holds a complete,
+// trailer-sealed journal or does not exist, even after a crash, a
+// write error or a cancelled recording.
 //
 // Typical use records through the façade and publishes on success only:
 //
@@ -23,64 +17,10 @@ import (
 //	if res, err := s.Run(ctx); err == nil {
 //		err = af.Commit()
 //	}
-type AtomicFile struct {
-	f    *os.File
-	path string // destination; f.Name() is the temp path
-	done bool
-}
+//
+// Commit must only be called once the journal is complete
+// (Recorder.Close returned nil).
+type AtomicFile = ckpt.AtomicFile
 
-// NewAtomicFile creates the temp file next to path (same directory, so
-// the final rename cannot cross filesystems).
-func NewAtomicFile(path string) (*AtomicFile, error) {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, "."+base+".tmp-*")
-	if err != nil {
-		return nil, fmt.Errorf("trace: atomic file: %w", err)
-	}
-	return &AtomicFile{f: f, path: path}, nil
-}
-
-// Write implements io.Writer, appending to the temp file.
-func (a *AtomicFile) Write(p []byte) (int, error) {
-	if a.done {
-		return 0, fmt.Errorf("trace: write to committed or aborted atomic file %s", a.path)
-	}
-	return a.f.Write(p)
-}
-
-// Commit publishes the temp file at the destination path: it syncs,
-// closes and renames in that order, so a journal visible at the path is
-// exactly the bytes the recorder sealed. Commit must only be called
-// once the journal is complete (Recorder.Close returned nil).
-func (a *AtomicFile) Commit() error {
-	if a.done {
-		return fmt.Errorf("trace: double Commit/Abort of atomic file %s", a.path)
-	}
-	a.done = true
-	if err := a.f.Sync(); err != nil {
-		a.f.Close()
-		os.Remove(a.f.Name())
-		return fmt.Errorf("trace: atomic file: %w", err)
-	}
-	if err := a.f.Close(); err != nil {
-		os.Remove(a.f.Name())
-		return fmt.Errorf("trace: atomic file: %w", err)
-	}
-	if err := os.Rename(a.f.Name(), a.path); err != nil {
-		os.Remove(a.f.Name())
-		return fmt.Errorf("trace: atomic file: %w", err)
-	}
-	return nil
-}
-
-// Abort discards the temp file without touching the destination. It is
-// a no-op after Commit (or a prior Abort), so "defer af.Abort()" is the
-// cleanup idiom for every early-exit path.
-func (a *AtomicFile) Abort() {
-	if a.done {
-		return
-	}
-	a.done = true
-	a.f.Close()
-	os.Remove(a.f.Name())
-}
+// NewAtomicFile creates the journal's temp file next to path.
+func NewAtomicFile(path string) (*AtomicFile, error) { return ckpt.NewAtomicFile(path) }

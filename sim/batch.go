@@ -5,22 +5,21 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 )
 
-// Batch runs sessions under one shared concurrency bound. It is the
-// single worker pool of the stack: the experiment harness's memoized
-// sweeps, ciexp's -workers flag and any embedding driver all bound
-// their simulations through one Batch instead of rolling their own
-// semaphores. Safe for concurrent use.
+// Batch runs sessions and sweep sets under one shared concurrency
+// bound: each Run, Resume or RunSet call holds one worker slot while it
+// simulates. It is the single worker pool of the stack: the experiment
+// harness (and with it ciexp's -workers flag) and the ciserve daemon
+// bound their simulations through a Batch. Safe for concurrent use.
 type Batch struct {
 	sem     chan struct{}
 	running atomic.Int64
 	peak    atomic.Int64
 }
 
-// NewBatch returns a batch running at most workers sessions at once
+// NewBatch returns a batch running at most workers sessions or sets at once
 // (workers <= 0 uses GOMAXPROCS; 1 fully serializes).
 func NewBatch(workers int) *Batch {
 	if workers <= 0 {
@@ -29,11 +28,9 @@ func NewBatch(workers int) *Batch {
 	return &Batch{sem: make(chan struct{}, workers)}
 }
 
-// Workers returns the batch's concurrency bound.
-func (b *Batch) Workers() int { return cap(b.sem) }
-
-// MaxConcurrent returns the highest number of sessions that have run
-// simultaneously on this batch (never above Workers).
+// MaxConcurrent returns the highest number of sessions and sets that
+// have run simultaneously on this batch (never above its workers
+// bound).
 func (b *Batch) MaxConcurrent() int { return int(b.peak.Load()) }
 
 // PanicError is the per-job error a Batch returns when building or
@@ -72,23 +69,49 @@ func (b *Batch) Resume(ctx context.Context, path string, opts ...Option) (*Resul
 	return b.run(ctx, func() (*Session, error) { return Resume(path, opts...) })
 }
 
-// run acquires a worker slot, builds the session and runs it, turning
-// panics into *PanicError.
-func (b *Batch) run(ctx context.Context, build func() (*Session, error)) (res *Result, err error) {
+// RunSet sweeps s to completion (see Set.Run) within the batch's
+// concurrency bound: the whole set holds one worker slot, so a sweep
+// counts as one worker however many points it has. It blocks until a
+// slot frees up; if ctx is cancelled while waiting, it returns
+// ctx.Err() without sweeping the set.
+func (b *Batch) RunSet(ctx context.Context, s *Set) ([]*Result, error) {
+	if err := b.acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer b.release()
+	return s.Run(ctx)
+}
+
+// acquire claims a worker slot, or returns ctx.Err() if ctx is
+// cancelled first, and records the concurrency peak. Every successful
+// acquire must be paired with a release.
+func (b *Batch) acquire(ctx context.Context) error {
 	select {
 	case b.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	defer func() { <-b.sem }()
 	n := b.running.Add(1)
-	defer b.running.Add(-1)
 	for {
 		peak := b.peak.Load()
 		if n <= peak || b.peak.CompareAndSwap(peak, n) {
-			break
+			return nil
 		}
 	}
+}
+
+func (b *Batch) release() {
+	b.running.Add(-1)
+	<-b.sem
+}
+
+// run acquires a worker slot, builds the session and runs it, turning
+// panics into *PanicError.
+func (b *Batch) run(ctx context.Context, build func() (*Session, error)) (res *Result, err error) {
+	if err := b.acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer b.release()
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
@@ -99,58 +122,4 @@ func (b *Batch) run(ctx context.Context, build func() (*Session, error)) (res *R
 		return nil, err
 	}
 	return s.Run(ctx)
-}
-
-// Job names one simulation for Batch.Stream: a registry workload plus
-// the session options to run it under.
-type Job struct {
-	// Workload is the registry name, resolved with Load.
-	Workload string
-	// Options configure the session.
-	Options []Option
-	// Tag is an opaque label echoed on the job's BatchResult.
-	Tag string
-}
-
-// BatchResult pairs a finished Job with its outcome. Exactly one of
-// Result and Err is meaningful — except on mid-run cancellation, where
-// a partial Result accompanies the context error.
-type BatchResult struct {
-	// Job is the input job, Tag included.
-	Job Job
-	// Result is the job's outcome (partial on cancellation).
-	Result *Result
-	// Err is the job's failure, if any.
-	Err error
-}
-
-// Stream launches every job and streams their results over the
-// returned channel in completion order, at most Workers at a time; the
-// channel closes once all jobs have finished. Cancelling ctx stops
-// running sessions at their next cycle boundary (their results arrive
-// partial, with the context error) and fails jobs still waiting for a
-// slot.
-func (b *Batch) Stream(ctx context.Context, jobs []Job) <-chan BatchResult {
-	// Buffered to the job count so a consumer that stops reading early
-	// never strands the producer goroutines.
-	out := make(chan BatchResult, len(jobs))
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j Job) {
-			defer wg.Done()
-			w, err := Load(j.Workload)
-			if err != nil {
-				out <- BatchResult{Job: j, Err: err}
-				return
-			}
-			res, err := b.Run(ctx, w, j.Options...)
-			out <- BatchResult{Job: j, Result: res, Err: err}
-		}(j)
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
 }

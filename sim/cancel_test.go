@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -127,40 +128,99 @@ func TestDeadlineSealsSession(t *testing.T) {
 	}
 }
 
-// TestBatchStreamCancellation: cancelling a streaming batch cuts
-// running jobs short (partial results with the context error) and
-// fails jobs still queued, and the stream still terminates cleanly.
-func TestBatchStreamCancellation(t *testing.T) {
+// gateObserver parks its session inside the first progress tap:
+// started is closed on entry and the session resumes once release is
+// closed. It pins a session inside a Batch worker slot for exactly as
+// long as a test needs it there.
+type gateObserver struct {
+	started chan struct{}
+	release <-chan struct{}
+	fired   bool
+}
+
+func newGateObserver(release <-chan struct{}) *gateObserver {
+	return &gateObserver{started: make(chan struct{}), release: release}
+}
+
+func (o *gateObserver) OnCommitBatch(cycle uint64, committed, reused int) {}
+func (o *gateObserver) OnCycleJump(from, to uint64)                       {}
+func (o *gateObserver) OnProgress(cycle, committed uint64) {
+	if !o.fired {
+		o.fired = true
+		close(o.started)
+		<-o.release
+	}
+}
+
+// TestBatchCancellation: cancelling the context of concurrent Batch.Run
+// calls fails the jobs still queued for a slot without running them,
+// and cuts the running ones short with partial results; no goroutine
+// outlives the calls.
+func TestBatchCancellation(t *testing.T) {
 	before := goroutines()
 	b := sim.NewBatch(2)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var jobs []sim.Job
-	for _, name := range []string{"gcc", "gzip", "eon", "vpr", "twolf", "mcf"} {
-		jobs = append(jobs, sim.Job{
-			Workload: name,
-			Options:  []sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(500_000_000)},
-		})
+	long := []sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(500_000_000)}
+
+	// Fill both slots with sessions parked inside their first tap.
+	release := make(chan struct{})
+	var running sync.WaitGroup
+	runningRes := make([]*sim.Result, 2)
+	runningErr := make([]error, 2)
+	for i, name := range []string{"gcc", "gzip"} {
+		w := mustLoad(t, name)
+		gate := newGateObserver(release)
+		opts := append([]sim.Option{sim.WithObserver(gate, 500)}, long...)
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			runningRes[i], runningErr[i] = b.Run(ctx, w, opts...)
+		}()
+		<-gate.started
 	}
-	done := 0
-	for r := range b.Stream(ctx, jobs) {
-		done++
-		if r.Err == nil {
-			t.Errorf("%s: expected a cancellation error on an effectively unbounded run", r.Job.Workload)
-			continue
+
+	// Queue four more behind them, then cancel: with both slots held,
+	// every queued job can only fail.
+	var queued sync.WaitGroup
+	names := []string{"eon", "vpr", "twolf", "mcf"}
+	queuedRes := make([]*sim.Result, len(names))
+	queuedErr := make([]error, len(names))
+	for i, name := range names {
+		w := mustLoad(t, name)
+		queued.Add(1)
+		go func() {
+			defer queued.Done()
+			queuedRes[i], queuedErr[i] = b.Run(ctx, w, long...)
+		}()
+	}
+	cancel()
+	queued.Wait()
+	for i, name := range names {
+		if !errors.Is(queuedErr[i], context.Canceled) || queuedRes[i] != nil {
+			t.Errorf("queued %s: result %v, err %v; want no result and context.Canceled", name, queuedRes[i], queuedErr[i])
 		}
-		if r.Result != nil && !r.Result.Partial {
-			t.Errorf("%s: cut-short result not marked partial", r.Job.Workload)
+	}
+
+	close(release)
+	running.Wait()
+	for i := range runningRes {
+		if !errors.Is(runningErr[i], context.Canceled) {
+			t.Errorf("running job %d: err = %v, want context.Canceled", i, runningErr[i])
+		}
+		if runningRes[i] == nil || !runningRes[i].Partial {
+			t.Errorf("running job %d: cut-short run must return a partial result, got %v", i, runningRes[i])
 		}
 	}
-	if done != len(jobs) {
-		t.Errorf("stream delivered %d outcomes, want %d", done, len(jobs))
+	if got := b.MaxConcurrent(); got != 2 {
+		t.Errorf("batch observed %d in flight, want 2", got)
 	}
+
 	deadline := time.Now().Add(2 * time.Second)
 	for goroutines() > before+2 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if after := goroutines(); after > before+2 {
-		t.Errorf("goroutines leaked after cancelled stream: %d -> %d", before, after)
+		t.Errorf("goroutines leaked after cancelled batch: %d -> %d", before, after)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"civect/sim"
@@ -63,35 +64,47 @@ func TestBatchRecoversPanic(t *testing.T) {
 	}
 }
 
-// TestBatchStreamRecoversPanic: a panicking job inside a Stream fan-out
-// fails alone; every other job still delivers its result and the
-// stream closes.
-func TestBatchStreamRecoversPanic(t *testing.T) {
+// TestBatchPanicFailsAlone: a job that panics while running
+// concurrently with others on the same batch fails alone; every other
+// job still completes.
+func TestBatchPanicFailsAlone(t *testing.T) {
 	b := sim.NewBatch(2)
-	jobs := []sim.Job{
-		{Workload: "gcc", Tag: "ok-1", Options: []sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)}},
-		{Workload: "gcc", Tag: "boom", Options: []sim.Option{
+	w := mustLoad(t, "gcc")
+	jobs := map[string][]sim.Option{
+		"ok-1": {sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)},
+		"boom": {
 			sim.WithMode(sim.CI),
 			sim.WithInstrBudget(50_000),
 			sim.WithObserver(&panicObserver{after: 1_000}, 500),
-		}},
-		{Workload: "gzip", Tag: "ok-2", Options: []sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)}},
+		},
+		"ok-2": {sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)},
 	}
-	got := map[string]sim.BatchResult{}
-	for r := range b.Stream(context.Background(), jobs) {
-		got[r.Job.Tag] = r
+	type outcome struct {
+		res *sim.Result
+		err error
 	}
-	if len(got) != len(jobs) {
-		t.Fatalf("stream delivered %d outcomes, want %d", len(got), len(jobs))
+	var mu sync.Mutex
+	got := map[string]outcome{}
+	var wg sync.WaitGroup
+	for tag, opts := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := b.Run(context.Background(), w, opts...)
+			mu.Lock()
+			got[tag] = outcome{res, err}
+			mu.Unlock()
+		}()
 	}
+	wg.Wait()
 	var pe *sim.PanicError
-	if !errors.As(got["boom"].Err, &pe) {
-		t.Errorf("panicking job: err = %v, want *sim.PanicError", got["boom"].Err)
+	if !errors.As(got["boom"].err, &pe) {
+		t.Errorf("panicking job: err = %v, want *sim.PanicError", got["boom"].err)
 	}
 	for _, tag := range []string{"ok-1", "ok-2"} {
 		r := got[tag]
-		if r.Err != nil || r.Result == nil || r.Result.Partial {
-			t.Errorf("%s: err=%v result=%v — a neighbour's panic must not fail this job", tag, r.Err, r.Result)
+		if r.err != nil || r.res == nil || r.res.Partial {
+			t.Errorf("%s: err=%v result=%v — a neighbour's panic must not fail this job", tag, r.err, r.res)
 		}
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"civect/internal/core"
@@ -50,15 +48,11 @@ type setPoint struct {
 // duplicate configurations once — per-point results are bit-identical
 // to individual Sessions.
 //
-// A Set is single-use and, once swept, sealed; the Workers knob must
-// be set before Sweep is called. Sets are not safe for concurrent use
-// (the Sweep result channel is).
+// A Set is single-use and, once swept, sealed. A sweep simulates its
+// points one after another on one goroutine; to bound how many sets and
+// sessions run at once, run sets through a Batch (Batch.RunSet). Sets
+// are not safe for concurrent use (the Sweep result channel is).
 type Set struct {
-	// Workers bounds how many waves (and individual session points)
-	// simulate concurrently; 0 or negative uses GOMAXPROCS. Results
-	// are bit-identical for every Workers value.
-	Workers int
-
 	w      *Workload
 	shared *core.SharedProgram
 	points []setPoint
@@ -148,7 +142,8 @@ type sweepUnit struct {
 // Sweep simulates every point and streams the per-point results over
 // the returned channel in completion order; the channel closes once
 // all points have finished. Points are grouped into waves of up to 8
-// distinct configurations, and up to Workers waves run concurrently.
+// distinct configurations; the waves and session points run in order
+// on one goroutine.
 // Points whose configurations are exactly equal are simulated once
 // per wave and their results fanned out (the simulator is
 // deterministic, so this is observationally identical to running
@@ -170,11 +165,6 @@ func (s *Set) Sweep(ctx context.Context) <-chan PointResult {
 		return out
 	}
 	s.swept = true
-
-	workers := s.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	// Partition the points into units: session points run alone;
 	// the rest coalesce by exact configuration (first-occurrence
@@ -206,23 +196,10 @@ func (s *Set) Sweep(ctx context.Context) <-chan PointResult {
 	}
 	flush()
 
-	unitCh := make(chan sweepUnit)
-	var wg sync.WaitGroup
-	for k := 0; k < workers && k < len(units); k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range unitCh {
-				s.runUnit(ctx, u, out)
-			}
-		}()
-	}
 	go func() {
 		for _, u := range units {
-			unitCh <- u
+			s.runUnit(ctx, u, out)
 		}
-		close(unitCh)
-		wg.Wait()
 		close(out)
 	}()
 	return out

@@ -240,3 +240,84 @@ func TestSetSingleUse(t *testing.T) {
 		t.Errorf("%d points reported, want %d", seen, set.Len())
 	}
 }
+
+// TestBatchRunSet runs a multi-wave set through a one-worker batch
+// while another goroutine runs a session on the same batch: the set
+// holds one slot for the whole sweep, so the two never overlap, and
+// every point matches a plain Set.Run bit for bit. A caller cancelled
+// while waiting for the slot gets ctx.Err() and an unswept set.
+func TestBatchRunSet(t *testing.T) {
+	w := mustLoad(t, "gcc")
+	var points []sim.PointOpts
+	for _, m := range []sim.Mode{sim.Scalar, sim.WideBus, sim.CI, sim.CIIW, sim.Vect} {
+		for _, regs := range []int{256, 512} {
+			points = append(points, sim.PointOpts{sim.WithMode(m), sim.WithRegs(regs), sim.WithInstrBudget(3_000)})
+		}
+	}
+	newSet := func() *sim.Set {
+		t.Helper()
+		set, err := sim.NewSet(w, points...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set
+	}
+	want, err := newSet().Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := sim.NewBatch(1)
+	other := mustLoad(t, "gzip")
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Run(context.Background(), other, sim.WithMode(sim.CI), sim.WithInstrBudget(20_000))
+		done <- err
+	}()
+	got, err := b.RunSet(context.Background(), newSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("concurrent session: %v", err)
+	}
+	if n := b.MaxConcurrent(); n != 1 {
+		t.Errorf("one-worker batch observed %d in flight", n)
+	}
+	for i := range want {
+		if got[i] == nil || got[i].Stats != want[i].Stats {
+			t.Errorf("point %d: RunSet stats diverge from Set.Run", i)
+		}
+	}
+
+	// Hold the only slot, then cancel a RunSet queued behind it.
+	release := make(chan struct{})
+	gate := newGateObserver(release)
+	held := make(chan error, 1)
+	go func() {
+		_, err := b.Run(context.Background(), other, sim.WithInstrBudget(5_000), sim.WithObserver(gate, 500))
+		held <- err
+	}()
+	<-gate.started
+	ctx, cancel := context.WithCancel(context.Background())
+	set := newSet()
+	queued := make(chan error, 1)
+	go func() {
+		res, err := b.RunSet(ctx, set)
+		if res != nil {
+			err = errors.New("a cancelled RunSet returned results")
+		}
+		queued <- err
+	}()
+	cancel()
+	if err := <-queued; !errors.Is(err, context.Canceled) {
+		t.Errorf("RunSet cancelled while waiting: err = %v, want context.Canceled", err)
+	}
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatalf("slot-holding session: %v", err)
+	}
+	if _, err := set.Run(context.Background()); err != nil {
+		t.Errorf("a set whose RunSet was cancelled before it started must stay runnable: %v", err)
+	}
+}

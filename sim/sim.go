@@ -18,8 +18,9 @@
 // cycle boundaries (returning partial, well-defined statistics), and
 // can be driven incrementally with Step for reinforcement-learning or
 // analysis loops. Observers stream batched progress taps without
-// perturbing results. Batch runs many sessions under one concurrency
-// bound and streams their Results over a channel.
+// perturbing results. A Set sweeps many configurations of one
+// workload, and Batch runs sessions and sets from many goroutines
+// under one concurrency bound.
 package sim
 
 import (

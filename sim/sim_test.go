@@ -3,7 +3,7 @@ package sim_test
 import (
 	"context"
 	"errors"
-	"strings"
+	"sync"
 	"testing"
 
 	"civect/internal/core"
@@ -243,54 +243,59 @@ func TestEnginesBitIdentical(t *testing.T) {
 	}
 }
 
-func TestBatchStream(t *testing.T) {
+// runConcurrently calls b.Run once per workload name from its own
+// goroutine and returns the outcomes keyed by name.
+func runConcurrently(t *testing.T, b *sim.Batch, names []string, opts ...sim.Option) map[string]error {
+	t.Helper()
+	errs := make([]error, len(names))
+	results := make([]*sim.Result, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		w := mustLoad(t, name)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = b.Run(context.Background(), w, opts...)
+		}()
+	}
+	wg.Wait()
+	out := make(map[string]error, len(names))
+	for i, name := range names {
+		if errs[i] == nil && (results[i] == nil || results[i].Partial) {
+			errs[i] = errors.New("no complete result")
+		}
+		out[name] = errs[i]
+	}
+	return out
+}
+
+// TestBatchConcurrentRuns: sessions submitted from many goroutines all
+// complete within the batch's bound, and a job naming no valid
+// workload fails on its own.
+func TestBatchConcurrentRuns(t *testing.T) {
 	b := sim.NewBatch(2)
-	var jobs []sim.Job
-	for _, name := range []string{"gcc", "gzip", "eon", "vpr"} {
-		jobs = append(jobs, sim.Job{
-			Workload: name,
-			Options:  []sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(4_000)},
-			Tag:      "t-" + name,
-		})
+	names := []string{"gcc", "gzip", "eon", "vpr"}
+	for name, err := range runConcurrently(t, b, names, sim.WithMode(sim.CI), sim.WithInstrBudget(4_000)) {
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
-	jobs = append(jobs, sim.Job{Workload: "nosuch"})
-	seen := map[string]bool{}
-	for r := range b.Stream(context.Background(), jobs) {
-		if r.Job.Workload == "nosuch" {
-			if r.Err == nil {
-				t.Error("unknown workload job must fail")
-			}
-			continue
-		}
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Job.Workload, r.Err)
-			continue
-		}
-		if r.Result.Stats.Committed < 4_000 {
-			t.Errorf("%s: committed %d below budget", r.Job.Workload, r.Result.Stats.Committed)
-		}
-		if !strings.HasPrefix(r.Job.Tag, "t-") {
-			t.Errorf("tag lost: %q", r.Job.Tag)
-		}
-		seen[r.Job.Workload] = true
+	if _, err := sim.Load("nosuch"); err == nil {
+		t.Error("unknown workload must fail to load")
 	}
-	if len(seen) != 4 {
-		t.Errorf("streamed %d distinct results, want 4", len(seen))
+	if _, err := b.Run(context.Background(), nil); err == nil {
+		t.Error("a nil workload must fail its job")
 	}
-	if got := b.MaxConcurrent(); got > 2 {
+	if got := b.MaxConcurrent(); got < 1 || got > 2 {
 		t.Errorf("batch of 2 workers observed %d in flight", got)
 	}
 }
 
 func TestBatchSerializes(t *testing.T) {
 	b := sim.NewBatch(1)
-	var jobs []sim.Job
-	for _, name := range []string{"gcc", "gzip", "eon"} {
-		jobs = append(jobs, sim.Job{Workload: name, Options: []sim.Option{sim.WithInstrBudget(3_000)}})
-	}
-	for r := range b.Stream(context.Background(), jobs) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+	for name, err := range runConcurrently(t, b, []string{"gcc", "gzip", "eon"}, sim.WithInstrBudget(3_000)) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	if got := b.MaxConcurrent(); got != 1 {
