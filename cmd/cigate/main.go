@@ -8,6 +8,8 @@
 // warm-machine variance. CI passes a larger value because shared
 // runners are slower and noisier than the machine that recorded the
 // baseline).
+// Allocated bytes per op may grow by at most a fixed 25%
+// (benchfmt.AllocTolerance): allocation hardly varies by host.
 // IPC and reuse fraction must match the baseline exactly: the
 // simulator is deterministic, so any drift there is a semantic change
 // that belongs in a reviewed baseline update.

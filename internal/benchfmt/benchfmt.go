@@ -58,6 +58,14 @@ func Marshal(rs []Result) ([]byte, error) {
 	return append(blob, '\n'), nil
 }
 
+// AllocTolerance is the fractional growth in bytes_per_op a row may
+// show before Compare flags it. Allocation hardly depends on the host,
+// so unlike throughput it gets no runner allowance; the margin absorbs
+// one-time allocations spread over a different iteration count. It
+// catches structural regressions such as a sweep that allocates a new
+// machine per lane again.
+const AllocTolerance = 0.25
+
 // GateOptions tunes Compare.
 type GateOptions struct {
 	// ThroughputTolerance is the fractional slowdown in
@@ -68,7 +76,8 @@ type GateOptions struct {
 
 // Compare checks fresh measurements against the committed baseline and
 // returns one human-readable problem per violated expectation (empty:
-// gate passes). Throughput may regress by at most the tolerance; IPC
+// gate passes). Throughput may regress by at most the tolerance and
+// bytes_per_op grow by at most AllocTolerance; IPC
 // and reuse fraction must match exactly (the simulator is
 // deterministic, so any drift is a semantic change that belongs in a
 // reviewed baseline update, not a perf run); both files must measure
@@ -101,6 +110,10 @@ func Compare(baseline, fresh []Result, opt GateOptions) []string {
 		if floor := base.SimInstrsPerSec * (1 - opt.ThroughputTolerance); f.SimInstrsPerSec < floor {
 			problems = append(problems, fmt.Sprintf("%s: throughput %.0f sim-instrs/s below %.0f (baseline %.0f - %.0f%%)",
 				base.key(), f.SimInstrsPerSec, floor, base.SimInstrsPerSec, 100*opt.ThroughputTolerance))
+		}
+		if ceil := float64(base.BytesPerOp) * (1 + AllocTolerance); float64(f.BytesPerOp) > ceil {
+			problems = append(problems, fmt.Sprintf("%s: %d bytes/op above %.0f (baseline %d + %.0f%%)",
+				base.key(), f.BytesPerOp, ceil, base.BytesPerOp, 100*AllocTolerance))
 		}
 		if !exact(f.IPC, base.IPC) {
 			problems = append(problems, fmt.Sprintf("%s: IPC %v differs from baseline %v (semantic drift)",

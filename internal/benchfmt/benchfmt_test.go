@@ -38,6 +38,22 @@ func TestCompareThroughputRegression(t *testing.T) {
 	}
 }
 
+func TestCompareAllocCeiling(t *testing.T) {
+	base := []Result{row("sweep", "gcc", 1e6, 1.25, 0.29)}
+	base[0].BytesPerOp = 2_000_000
+	for _, tc := range []struct {
+		bytes int64
+		flag  bool
+	}{{1_000_000, false}, {2_400_000, false}, {2_600_000, true}, {9_000_000, true}} {
+		fresh := []Result{base[0]}
+		fresh[0].BytesPerOp = tc.bytes
+		p := Compare(base, fresh, GateOptions{ThroughputTolerance: 0.15})
+		if flagged := len(p) == 1 && strings.Contains(p[0], "bytes/op"); flagged != tc.flag || len(p) > 1 {
+			t.Errorf("%d bytes/op against a 2000000 baseline: problems %v, want flagged=%v", tc.bytes, p, tc.flag)
+		}
+	}
+}
+
 func TestCompareExactStats(t *testing.T) {
 	base := []Result{row("ci", "gcc", 1e6, 1.25, 0.29)}
 	for _, fresh := range [][]Result{

@@ -5,6 +5,8 @@
 // scheme is only activated for hard branches.
 package bpred
 
+import "math/bits"
+
 // Gshare is a global-history XOR-indexed pattern history table of 2-bit
 // saturating counters.
 type Gshare struct {
@@ -16,23 +18,30 @@ type Gshare struct {
 
 // NewGshare builds a predictor with the given number of PHT entries
 // (must be a power of two; Table 1 uses 64K).
-func NewGshare(entries int) *Gshare {
+func NewGshare(entries int) *Gshare { return RenewGshare(nil, entries) }
+
+// RenewGshare returns a predictor in exactly the state
+// NewGshare(entries) builds, reusing spent's table when it has the
+// same entry count. spent may be nil; it must not be used afterwards.
+func RenewGshare(spent *Gshare, entries int) *Gshare {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("bpred: gshare entries must be a positive power of two")
 	}
-	histLen := uint(0)
-	for n := entries; n > 1; n >>= 1 {
-		histLen++
-	}
-	g := &Gshare{
-		table:   make([]uint8, entries),
-		mask:    uint64(entries - 1),
-		histLen: histLen,
+	g := spent
+	if g == nil || len(g.table) != entries {
+		g = &Gshare{
+			table:   make([]uint8, entries),
+			mask:    uint64(entries - 1),
+			histLen: uint(bits.TrailingZeros(uint(entries))),
+		}
 	}
 	// Weakly taken start avoids a cold-start bias toward not-taken.
-	for i := range g.table {
-		g.table[i] = 2
+	// The table is filled by doubling copies, not a byte at a time.
+	g.table[0] = 2
+	for n := 1; n < entries; n *= 2 {
+		copy(g.table[n:], g.table[:n])
 	}
+	g.history = 0
 	return g
 }
 
@@ -128,11 +137,21 @@ const (
 
 // NewMBS builds the table; the paper's configuration is 64 sets, 4-way
 // (§3.1: "4 ways * 64 elements per way").
-func NewMBS(sets, assoc int) *MBS {
+func NewMBS(sets, assoc int) *MBS { return RenewMBS(nil, sets, assoc) }
+
+// RenewMBS returns a table in exactly the state NewMBS(sets, assoc)
+// builds, reusing spent's storage when the geometry matches. spent may
+// be nil; it must not be used afterwards.
+func RenewMBS(spent *MBS, sets, assoc int) *MBS {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("bpred: MBS sets must be a positive power of two")
 	}
-	return &MBS{sets: sets, assoc: assoc, ways: make([]mbsEntry, sets*assoc)}
+	if spent == nil || spent.sets != sets || spent.assoc != assoc {
+		return &MBS{sets: sets, assoc: assoc, ways: make([]mbsEntry, sets*assoc)}
+	}
+	clear(spent.ways)
+	spent.clock = 0
+	return spent
 }
 
 func (m *MBS) set(pc uint64) []mbsEntry {

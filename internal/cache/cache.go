@@ -10,6 +10,8 @@
 // the cache only tracks presence.
 package cache
 
+import "math/bits"
+
 // Config describes one cache level.
 type Config struct {
 	// SizeBytes is the total capacity.
@@ -72,11 +74,26 @@ type Cache struct {
 	lastBlock uint64
 
 	Stats Stats
+
+	// filled is a one-bit-per-set map of the sets whose lines may differ
+	// from the New state: Access marks a set when it fills an invalid
+	// way (lines only become valid that way), and LoadState and
+	// CopyFrom mark every set. Reset clears only these, so returning a
+	// large cache to its New state costs the sets a run touched, not
+	// the capacity.
+	filled []uint64
 }
 
 // New builds a cache from cfg. The geometry must be a power-of-two
 // line size and set count.
-func New(cfg Config) *Cache {
+func New(cfg Config) *Cache { return renew(nil, cfg) }
+
+// renew returns a cache in exactly the state New(cfg) builds. It
+// reuses spent's storage, reset in place, when spent has cfg's
+// geometry (line size, associativity and set count; latencies may
+// differ), and allocates otherwise. spent may be nil; when reused it
+// must not be used afterwards.
+func renew(spent *Cache, cfg Config) *Cache {
 	nsets := cfg.Sets()
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
@@ -84,19 +101,45 @@ func New(cfg Config) *Cache {
 	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic("cache: line size must be a positive power of two")
 	}
-	c := &Cache{
-		cfg:    cfg,
-		lines:  make([]line, nsets*cfg.Assoc),
-		setMsk: uint64(nsets - 1),
-		last:   -1,
+	c := spent
+	if c == nil || c.cfg.Sets() != nsets || c.cfg.Assoc != cfg.Assoc || c.cfg.LineBytes != cfg.LineBytes {
+		c = &Cache{
+			lines:  make([]line, nsets*cfg.Assoc),
+			filled: make([]uint64, (nsets+63)/64),
+			shift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+			// The set-index width; the set count is a power of two.
+			setShift: uint(bits.TrailingZeros(uint(nsets))),
+			setMsk:   uint64(nsets - 1),
+		}
 	}
-	for b := cfg.LineBytes; b > 1; b >>= 1 {
-		c.shift++
-	}
-	for n := nsets; n > 1; n >>= 1 {
-		c.setShift++
-	}
+	c.cfg = cfg
+	c.Reset()
 	return c
+}
+
+// Reset returns the cache to the state New builds: every line
+// invalid, the LRU clock, the memo and the statistics cleared. It
+// costs the sets filled since the last reset, not the capacity.
+func (c *Cache) Reset() {
+	for w, word := range c.filled {
+		for b := word; b != 0; b &= b - 1 {
+			clear(c.set(w<<6 + bits.TrailingZeros64(b)))
+		}
+	}
+	clear(c.filled)
+	c.clock = 0
+	c.last, c.lastBlock = -1, 0
+	c.Stats = Stats{}
+}
+
+// markAllFilled records that every set may hold state (a bulk load).
+func (c *Cache) markAllFilled() {
+	for i := range c.filled {
+		c.filled[i] = ^uint64(0)
+	}
+	if r := c.cfg.Sets() & 63; r != 0 {
+		c.filled[len(c.filled)-1] = 1<<r - 1
+	}
 }
 
 // set returns the ways of the set holding addr's index.
@@ -159,6 +202,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, lat int) {
 	for i := range lines {
 		if !lines[i].valid {
 			victim = i
+			c.filled[set>>6] |= 1 << (set & 63)
 			break
 		}
 	}
@@ -178,10 +222,4 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, lat int) {
 // LineAddr returns the address of the first byte of the line holding addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)
-}
-
-// Flush invalidates every line (used between runs).
-func (c *Cache) Flush() {
-	clear(c.lines)
-	c.last = -1
 }

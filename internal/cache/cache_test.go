@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"civect/internal/ckpt"
 )
 
 func small() Config {
@@ -83,12 +86,37 @@ func TestLookupDoesNotTouch(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
+func TestReset(t *testing.T) {
 	c := New(small())
 	c.Access(0x0, false)
-	c.Flush()
+	c.Access(0x1000, true)
+	c.Reset()
 	if c.Lookup(0x0) {
-		t.Error("flush should invalidate")
+		t.Error("reset should invalidate")
+	}
+	if !reflect.DeepEqual(c, New(small())) {
+		t.Error("reset cache differs from a new one")
+	}
+	// Lines a bulk load wrote are cleared too, though Access never
+	// filled their sets.
+	src := New(small())
+	for a := uint64(0); a < 1<<12; a += 8 {
+		src.Access(a*64, a%3 == 0)
+	}
+	if err := c.CopyFrom(src); err != nil {
+		t.Fatal(err)
+	}
+	c.Reset()
+	if !reflect.DeepEqual(c, New(small())) {
+		t.Error("reset after CopyFrom differs from a new cache")
+	}
+	d := ckpt.NewDecoder(encode(src))
+	if c.LoadState(d); d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	c.Reset()
+	if !reflect.DeepEqual(c, New(small())) {
+		t.Error("reset after LoadState differs from a new cache")
 	}
 }
 
@@ -343,14 +371,23 @@ func TestFetchAccess(t *testing.T) {
 	}
 }
 
-func TestHierarchyFlush(t *testing.T) {
+func TestRenewHierarchy(t *testing.T) {
 	h := NewHierarchy(DefaultHierConfig())
 	h.BeginCycle(1)
 	h.DataAccess(0x100, false)
-	h.Flush()
-	h.BeginCycle(2)
-	if r := h.DataAccess(0x100, false); r.Hit {
-		t.Error("flush should invalidate all levels")
+	h.FetchAccess(0x40)
+	wide := DefaultHierConfig()
+	wide.WideBus = true
+	r := RenewHierarchy(h, wide)
+	if r.L1D != h.L1D || r.L3 != h.L3 {
+		t.Error("levels of the same geometry should be reused")
+	}
+	if !reflect.DeepEqual(r, NewHierarchy(wide)) {
+		t.Error("renewed hierarchy differs from a new one")
+	}
+	r.BeginCycle(2)
+	if res := r.DataAccess(0x100, false); res.Hit {
+		t.Error("renew should invalidate all levels")
 	}
 }
 

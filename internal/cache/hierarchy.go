@@ -73,7 +73,14 @@ type wideLine struct {
 }
 
 // NewHierarchy builds the hierarchy from cfg.
-func NewHierarchy(cfg HierConfig) *Hierarchy {
+func NewHierarchy(cfg HierConfig) *Hierarchy { return RenewHierarchy(nil, cfg) }
+
+// RenewHierarchy returns a hierarchy in exactly the state
+// NewHierarchy(cfg) builds. Each cache level reuses the storage of
+// spent's level of the same name when the geometries fit (see renew),
+// so a spent hierarchy of another mode or bus width still lends its
+// caches. spent may be nil; it must not be used afterwards.
+func RenewHierarchy(spent *Hierarchy, cfg HierConfig) *Hierarchy {
 	if cfg.DL1Ports <= 0 {
 		cfg.DL1Ports = 1
 	}
@@ -83,12 +90,16 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 	if cfg.MaxOutstandingMisses <= 0 {
 		cfg.MaxOutstandingMisses = 16
 	}
+	var old Hierarchy
+	if spent != nil {
+		old = *spent
+	}
 	h := &Hierarchy{
 		cfg: cfg,
-		L1I: New(cfg.L1I),
-		L1D: New(cfg.L1D),
-		L2:  New(cfg.L2),
-		L3:  New(cfg.L3),
+		L1I: renew(old.L1I, cfg.L1I),
+		L1D: renew(old.L1D, cfg.L1D),
+		L2:  renew(old.L2, cfg.L2),
+		L3:  renew(old.L3, cfg.L3),
 	}
 	if cfg.WideBus {
 		// One line latch per port plus one victim keeps interleaved
@@ -276,16 +287,4 @@ func (h *Hierarchy) NextMissRetire() (cycle uint64, ok bool) {
 		}
 	}
 	return m, true
-}
-
-// Flush invalidates all levels and the wide-bus line buffers.
-func (h *Hierarchy) Flush() {
-	h.L1I.Flush()
-	h.L1D.Flush()
-	h.L2.Flush()
-	h.L3.Flush()
-	h.missFreeAt = h.missFreeAt[:0]
-	for i := range h.wideBuf {
-		h.wideBuf[i] = wideLine{}
-	}
 }

@@ -51,6 +51,7 @@ func (c *Cache) LoadState(d *ckpt.Decoder) {
 	c.Stats.Hits = d.U64()
 	c.Stats.Misses = d.U64()
 	c.last = -1
+	c.markAllFilled()
 }
 
 // CopyFrom makes c an exact copy of src's state — lines, clock and
@@ -65,6 +66,7 @@ func (c *Cache) CopyFrom(src *Cache) error {
 	c.clock = src.clock
 	c.Stats = src.Stats
 	c.last = -1
+	c.markAllFilled()
 	return nil
 }
 

@@ -46,8 +46,8 @@ func TestSameBlockMemoMatchesSlowPath(t *testing.T) {
 	for i, a := range addrs {
 		switch i {
 		case 5000:
-			fast.Flush()
-			slow.Flush()
+			fast.Reset()
+			slow.Reset()
 		case 12000:
 			for _, c := range []*Cache{fast, slow} {
 				d := ckpt.NewDecoder(encode(snap))

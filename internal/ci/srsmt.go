@@ -387,23 +387,41 @@ type SRSMT struct {
 }
 
 // NewSRSMT builds the table.
-func NewSRSMT(sets, assoc int) *SRSMT {
+func NewSRSMT(sets, assoc int) *SRSMT { return RenewSRSMT(nil, sets, assoc) }
+
+// RenewSRSMT returns a table in exactly the state NewSRSMT(sets, assoc)
+// builds, reusing spent's way storage (replica rings and consumer
+// chains included, emptied) when the geometry matches. spent may be
+// nil; it must not be used afterwards.
+func RenewSRSMT(spent *SRSMT, sets, assoc int) *SRSMT {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("ci: SRSMT sets must be a positive power of two")
 	}
 	if assoc <= 0 {
 		panic("ci: SRSMT associativity must be positive")
 	}
-	t := &SRSMT{
-		sets: sets, assoc: assoc,
-		ways:    make([]Entry, sets*assoc),
-		headers: make([]TurnHeader, sets*assoc),
-		valid:   make([]uint64, (sets*assoc+63)/64),
+	t := spent
+	if t == nil || t.sets != sets || t.assoc != assoc {
+		t = &SRSMT{
+			sets: sets, assoc: assoc,
+			ways:    make([]Entry, sets*assoc),
+			headers: make([]TurnHeader, sets*assoc),
+			valid:   make([]uint64, (sets*assoc+63)/64),
+		}
 	}
 	for i := range t.ways {
-		t.ways[i].way = int32(i)
-		t.ways[i].TurnHeader = &t.headers[i]
+		e := &t.ways[i]
+		*e = Entry{
+			TurnHeader: &t.headers[i],
+			Replicas:   e.Replicas[:0],
+			Consumers:  e.Consumers[:0],
+			way:        int32(i),
+		}
 	}
+	clear(t.headers)
+	clear(t.valid)
+	t.present = nil
+	t.clock, t.gen = 0, 0
 	return t
 }
 

@@ -415,6 +415,13 @@ type Proc struct {
 	freedCount int
 
 	Stats Stats
+
+	// parkSlab and wheelSlab back the park lists' and wheel buckets'
+	// initial capacity, so a recycled build can reuse them (build).
+	// Only build reads them; they sit last to keep the hot fields'
+	// layout.
+	parkSlab  []waitRef
+	wheelSlab []entryRef
 }
 
 // New builds a processor over prog and data memory m (which it owns and
@@ -426,12 +433,15 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory) (*Proc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return build(cfg, sp, m)
+	return build(cfg, sp, m, nil)
 }
 
-// build assembles a processor from a validated shared program; New and
-// NewShared both land here.
-func build(cfg Config, sp *SharedProgram, m *mem.Memory) (*Proc, error) {
+// build assembles a processor from a validated shared program; New,
+// NewShared and Recycle all land here. A non-nil spent lends its
+// storage: each component whose geometry fits is returned in place to
+// exactly its New state, and the rest are allocated, so the result is
+// the processor a fresh build makes.
+func build(cfg Config, sp *SharedProgram, m *mem.Memory, spent *Proc) (*Proc, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -448,21 +458,31 @@ func build(cfg Config, sp *SharedProgram, m *mem.Memory) (*Proc, error) {
 		prog:  prog,
 		imeta: sp.imeta,
 		mem:   m,
-		rf:    regfile.NewFile(cfg.PhysRegs),
-		rob:   make([]robEntry, cfg.WindowSize),
-		hier:  cache.NewHierarchy(hcfg),
-		bp:    bpred.NewGshare(cfg.GshareEntries),
-		mbs:   bpred.NewMBS(cfg.MBSSets, cfg.MBSAssoc),
-		sp:    stride.New(cfg.StrideSets, cfg.StrideAssoc),
 		// In-flight stores are bounded by the LSQ, so the word index
 		// stops growing once it has seen the peak occupancy.
 		wordStores: make(map[uint64][]int32, cfg.LSQSize),
 	}
+	// old is the storage to recycle: spent's, or for a fresh build p's
+	// own fields, still empty, so every component is allocated.
+	old := spent
+	if old == nil {
+		old = p
+	}
+	p.rf = regfile.RenewFile(old.rf, cfg.PhysRegs)
+	p.rob = renewSlice(old.rob, cfg.WindowSize)
+	p.hier = cache.RenewHierarchy(old.hier, hcfg)
+	p.bp = bpred.RenewGshare(old.bp, cfg.GshareEntries)
+	p.mbs = bpred.RenewMBS(old.mbs, cfg.MBSSets, cfg.MBSAssoc)
+	p.sp = stride.Renew(old.sp, cfg.StrideSets, cfg.StrideAssoc)
+	p.stridePC = stridePool{lists: old.stridePC.lists[:0], free: old.stridePC.free[:0]}
+	p.fetchQ = old.fetchQ[:0]
+	p.freedMark = old.freedMark
+	clear(p.freedMark)
 	if cfg.Mode == ModeCI || cfg.Mode == ModeCIIW {
 		p.nrbq = ci.NewNRBQ(cfg.NRBQEntries)
 	}
 	if cfg.Mode.Vectorizes() {
-		p.srsmt = ci.NewSRSMT(cfg.SRSMTSets, cfg.SRSMTAssoc)
+		p.srsmt = ci.RenewSRSMT(old.srsmt, cfg.SRSMTSets, cfg.SRSMTAssoc)
 	}
 	if cfg.Mode == ModeCIIW {
 		p.iwTable = make([][]iwReuse, prog.Len())
@@ -486,16 +506,16 @@ func build(cfg Config, sp *SharedProgram, m *mem.Memory) (*Proc, error) {
 			// register; 16 slots up front keeps per-run growth to the
 			// few registers that go deeper.
 			const parkCap = 16
-			p.regWaiters = make([][]waitRef, cfg.PhysRegs)
-			slab := make([]waitRef, len(p.regWaiters)*parkCap)
+			p.regWaiters = renewSlice(old.regWaiters, cfg.PhysRegs)
+			p.parkSlab = renewSlice(old.parkSlab, cfg.PhysRegs*parkCap)
 			for r := range p.regWaiters {
-				p.regWaiters[r] = slab[r*parkCap : r*parkCap : (r+1)*parkCap]
+				p.regWaiters[r] = p.parkSlab[r*parkCap : r*parkCap : (r+1)*parkCap]
 			}
 		}
 		const bucketCap = 4
-		wslab := make([]entryRef, wheelSpan*bucketCap)
+		p.wheelSlab = renewSlice(old.wheelSlab, wheelSpan*bucketCap)
 		for i := range p.doneWheel {
-			p.doneWheel[i] = wslab[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
+			p.doneWheel[i] = p.wheelSlab[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
 		}
 	}
 	if cfg.SpecMemSize > 0 && cfg.Mode.Vectorizes() {
@@ -511,6 +531,17 @@ func build(cfg Config, sp *SharedProgram, m *mem.Memory) (*Proc, error) {
 		p.ren[r] = renEntry{phys: int32(phys), writerPC: -1}
 	}
 	return p, nil
+}
+
+// renewSlice returns s resliced to n zeroed elements when its capacity
+// allows, and a new slice otherwise.
+func renewSlice[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Run simulates until the program halts, the committed-instruction

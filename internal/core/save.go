@@ -748,7 +748,7 @@ func RestoreCheckpoint(data []byte, sp *SharedProgram, base *mem.Memory) (*Proc,
 			name, plen, phash, sp.prog.Name, sp.prog.Len(), programHash(sp.prog))
 	}
 
-	p, err := build(cfg, sp, mem.New())
+	p, err := build(cfg, sp, mem.New(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}

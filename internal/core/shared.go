@@ -45,5 +45,23 @@ func NewShared(cfg Config, sp *SharedProgram, m *mem.Memory) (*Proc, error) {
 	if sp == nil {
 		return nil, errors.New("core: nil shared program")
 	}
-	return build(cfg, sp, m)
+	return build(cfg, sp, m, nil)
+}
+
+// Recycle builds the processor NewShared(cfg, sp, image.Clone())
+// builds, on the storage of spent, a processor no longer in use (nil
+// for none): a sweep builds each configuration on the previous one's
+// caches, predictors, tables, window and data image instead of
+// allocating them again. The result is bit-identical to a fresh build
+// whatever spent's mode, geometry or state. spent must not be used
+// afterwards; image is only read.
+func Recycle(spent *Proc, cfg Config, sp *SharedProgram, image *mem.Memory) (*Proc, error) {
+	if sp == nil {
+		return nil, errors.New("core: nil shared program")
+	}
+	if spent == nil {
+		return build(cfg, sp, image.Clone(), nil)
+	}
+	spent.mem.CopyFrom(image)
+	return build(cfg, sp, spent.mem, spent)
 }

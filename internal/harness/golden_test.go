@@ -41,6 +41,12 @@ func TestGoldenStats(t *testing.T) {
 		{RunSpec{Bench: "vpr", Mode: core.ModeCI, Ports: 1, Regs: 0, NoDAEC: true, MaxInstr: 40000},
 			"11516 40005 5579 62263 22201 19519 620 2020 2012 0 0 4410"},
 	}
+	digest := func(st *core.Stats) string {
+		return fmt.Sprintf("%d %d %d %d %d %d %d %d %d %d %d %d",
+			st.Cycles, st.Committed, st.CommittedReuse, st.Fetched, st.SquashedBP,
+			st.ReplicasDispatched, st.Mispredicts, st.VectorizedEntries,
+			st.ValidationFails, st.IWCaptured, st.SpecMemCopies, st.L1D.Accesses)
+	}
 	h := New(Options{Workers: 1})
 	for _, c := range cases {
 		c := c
@@ -50,12 +56,36 @@ func TestGoldenStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := fmt.Sprintf("%d %d %d %d %d %d %d %d %d %d %d %d",
-				st.Cycles, st.Committed, st.CommittedReuse, st.Fetched, st.SquashedBP,
-				st.ReplicasDispatched, st.Mispredicts, st.VectorizedEntries,
-				st.ValidationFails, st.IWCaptured, st.SpecMemCopies, st.L1D.Accesses)
-			if got != c.want {
+			if got := digest(st); got != c.want {
 				t.Errorf("stats digest changed:\n got %s\nwant %s", got, c.want)
+			}
+		})
+	}
+
+	// The same cells through Prefetch's per-benchmark sweep sets, where
+	// gcc's three configurations run one after another on recycled
+	// storage, must give the same digests.
+	specs := make([]RunSpec, len(cases))
+	for i, c := range cases {
+		specs[i] = c.spec
+	}
+	pre := New(Options{Workers: 1})
+	if err := pre.Prefetch(specs); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(pre.UnusedPrimed()); n != len(cases) {
+		t.Fatalf("prefetch primed %d cells, want %d", n, len(cases))
+	}
+	for _, c := range cases {
+		c := c
+		name := fmt.Sprintf("prefetch/%s-%v-p%d-r%d", c.spec.Bench, c.spec.Mode, c.spec.Ports, c.spec.Regs)
+		t.Run(name, func(t *testing.T) {
+			st, err := pre.Run(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(st); got != c.want {
+				t.Errorf("prefetched stats digest differs:\n got %s\nwant %s", got, c.want)
 			}
 		})
 	}

@@ -26,8 +26,8 @@ type Memory struct {
 	pages map[uint64]*[pageWords]uint64
 	// lastKey and lastPage memoize the most recent lookup that found
 	// (or created) a page; lastPage is nil when nothing is memoized.
-	// Pages are never removed or replaced, so the memo cannot go
-	// stale.
+	// Only CopyFrom removes pages, and it clears the memo, so the memo
+	// cannot go stale.
 	lastKey  uint64
 	lastPage *[pageWords]uint64
 }
@@ -82,12 +82,32 @@ func (m *Memory) PagesAllocated() int { return len(m.pages) }
 // reference and the timing simulator identical independent initial images.
 func (m *Memory) Clone() *Memory {
 	c := New()
-	for k, p := range m.pages {
-		np := new([pageWords]uint64)
-		*np = *p
-		c.pages[k] = np
-	}
+	c.CopyFrom(m)
 	return c
+}
+
+// CopyFrom makes m an exact copy of src, reusing m's pages: pages src
+// lacks are dropped and the rest overwritten. src is only read (its
+// last-page memo is not touched), so one image may be copied by
+// several goroutines at once.
+func (m *Memory) CopyFrom(src *Memory) {
+	if m.pages == nil {
+		m.pages = make(map[uint64]*[pageWords]uint64, len(src.pages))
+	}
+	for k := range m.pages {
+		if src.pages[k] == nil {
+			delete(m.pages, k)
+		}
+	}
+	for k, sp := range src.pages {
+		p := m.pages[k]
+		if p == nil {
+			p = new([pageWords]uint64)
+			m.pages[k] = p
+		}
+		*p = *sp
+	}
+	m.lastKey, m.lastPage = 0, nil
 }
 
 // Checksum returns an order-independent FNV-style digest of all mapped,

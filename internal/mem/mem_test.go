@@ -86,6 +86,30 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestCopyFrom: a used memory copied over from an image reads exactly
+// as a clone of it — changed words restored, pages the image lacks
+// dropped, and no memo left pointing at a dropped page.
+func TestCopyFrom(t *testing.T) {
+	image := New()
+	image.Write64(0x10, 5)
+	image.Write64(0x2000, 6)
+	m := image.Clone()
+	m.Write64(0x10, 99)
+	m.Write64(0x9000, 1) // a page the image lacks; memoized last
+	m.CopyFrom(image)
+	if m.PagesAllocated() != image.PagesAllocated() || m.Checksum() != image.Checksum() {
+		t.Fatalf("copy has %d pages, checksum %x; image %d, %x",
+			m.PagesAllocated(), m.Checksum(), image.PagesAllocated(), image.Checksum())
+	}
+	if m.Read64(0x10) != 5 || m.Read64(0x9000) != 0 {
+		t.Error("copy does not read as the image")
+	}
+	m.Write64(0x9008, 2)
+	if image.Read64(0x9008) != 0 || image.PagesAllocated() != 2 {
+		t.Error("write after CopyFrom leaked into the image")
+	}
+}
+
 // TestLookupMemoIsPerMemory: the last-page memo belongs to one Memory.
 // A clone or a delta-loaded image starts without it, so writes through
 // them never land in the page the original last touched.

@@ -12,7 +12,10 @@
 // toward the register file, twice slower than the register file.
 package regfile
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // reg is one physical register. Value, readiness and allocation state
 // live together so the hot Ready+Value pair costs one cache line, not
@@ -38,15 +41,30 @@ type File struct {
 }
 
 // NewFile builds a file with n physical registers; n <= 0 is unbounded.
-func NewFile(n int) *File {
-	f := &File{bounded: n > 0}
-	if n > 0 {
-		f.regs = make([]reg, n)
-		f.free = make([]int, n)
-		for i := range f.free {
-			f.free[i] = n - 1 - i // pop from the end -> ascending order
+func NewFile(n int) *File { return RenewFile(nil, n) }
+
+// RenewFile returns a file in exactly the state NewFile(n) builds,
+// reusing spent's storage when it has the same bound. spent may be nil;
+// it must not be used afterwards.
+func RenewFile(spent *File, n int) *File {
+	f := spent
+	if f == nil || f.bounded != (n > 0) || f.bounded && len(f.regs) != n {
+		f = &File{bounded: n > 0}
+		if n > 0 {
+			f.regs = make([]reg, n)
+			f.free = make([]int, n)
 		}
 	}
+	if !f.bounded {
+		// An unbounded file grows on demand from empty.
+		f.regs, f.free = f.regs[:0], f.free[:0]
+	}
+	clear(f.regs)
+	f.free = slices.Grow(f.free[:0], len(f.regs))[:len(f.regs)]
+	for i := range f.free {
+		f.free[i] = len(f.regs) - 1 - i // pop from the end -> ascending order
+	}
+	f.inUse, f.peak, f.occSum, f.occSamples = 0, 0, 0, 0
 	return f
 }
 

@@ -32,14 +32,24 @@ type Predictor struct {
 }
 
 // New builds a predictor with the given geometry.
-func New(sets, assoc int) *Predictor {
+func New(sets, assoc int) *Predictor { return Renew(nil, sets, assoc) }
+
+// Renew returns a predictor in exactly the state New(sets, assoc)
+// builds, reusing spent's storage when the geometry matches. spent may
+// be nil; it must not be used afterwards.
+func Renew(spent *Predictor, sets, assoc int) *Predictor {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("stride: sets must be a positive power of two")
 	}
 	if assoc <= 0 {
 		panic("stride: associativity must be positive")
 	}
-	return &Predictor{sets: sets, assoc: assoc, ways: make([]Entry, sets*assoc)}
+	if spent == nil || spent.sets != sets || spent.assoc != assoc {
+		return &Predictor{sets: sets, assoc: assoc, ways: make([]Entry, sets*assoc)}
+	}
+	clear(spent.ways)
+	spent.clock = 0
+	return spent
 }
 
 func (p *Predictor) set(pc uint64) []Entry {
@@ -111,10 +121,3 @@ func (e *Entry) NextAddrs(dst []uint64, n int) []uint64 {
 // PC + last address + stride fields dominate; 4 ways × 256 sets × 24 =
 // 24576 bytes in the paper's configuration).
 func (p *Predictor) SizeBytes() int { return p.sets * p.assoc * 24 }
-
-// Flush invalidates all entries.
-func (p *Predictor) Flush() {
-	for i := range p.ways {
-		p.ways[i] = Entry{}
-	}
-}

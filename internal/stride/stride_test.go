@@ -1,6 +1,7 @@
 package stride
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -160,12 +161,21 @@ func TestSizeBytes(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
+func TestRenew(t *testing.T) {
 	p := New(256, 4)
 	p.Observe(0x50, 0)
-	p.Flush()
+	p.Observe(0x90, 8)
+	if r := Renew(p, 256, 4); r != p {
+		t.Error("Renew of a same-geometry predictor should reuse it")
+	}
 	if p.Lookup(0x50) != nil {
-		t.Error("flush should drop entries")
+		t.Error("renew should drop entries")
+	}
+	if !reflect.DeepEqual(p, New(256, 4)) {
+		t.Error("renewed predictor differs from a new one")
+	}
+	if r := Renew(p, 128, 4); r == p || !reflect.DeepEqual(r, New(128, 4)) {
+		t.Error("Renew to another geometry should build a new predictor")
 	}
 }
 

@@ -111,6 +111,10 @@ type Benchmark struct {
 // NewMem returns an independent copy of the benchmark's initial memory.
 func (b *Benchmark) NewMem() *mem.Memory { return b.image.Clone() }
 
+// Image returns the benchmark's initial memory image itself, shared by
+// every caller: read it only through Clone or mem.Memory.CopyFrom.
+func (b *Benchmark) Image() *mem.Memory { return b.image }
+
 // Layout constants: stream arrays live at 1MB-spaced bases so distinct
 // streams never alias; the pointer-chase array and store region follow.
 const (

@@ -27,8 +27,9 @@ func MarshalBenchResults(rs []BenchResult) ([]byte, error) {
 
 // GateBench checks fresh measurements against a committed baseline:
 // throughput may regress by at most throughputTol (a fraction; 0.10
-// allows a 10% slowdown, speedups never fail), while IPC and reuse
-// fraction must match exactly — the simulator is deterministic, so any
+// allows a 10% slowdown, speedups never fail) and allocated bytes per
+// op grow by at most a fixed 25%, while IPC and reuse fraction must
+// match exactly — the simulator is deterministic, so any
 // drift there is a semantic change that belongs in a reviewed baseline
 // update. It returns one human-readable problem per violated
 // expectation (empty: the gate passes).

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"civect/internal/core"
-	"civect/internal/mem"
 )
 
 // PointOpts is the option list of one configuration point in a Set:
@@ -36,7 +35,7 @@ type setPoint struct {
 	opts PointOpts
 	// session marks points that run as individual Sessions: observers
 	// and trace journals are per-session side effects, so such points
-	// are excluded from waves and result coalescing.
+	// are excluded from lane recycling and result coalescing.
 	session bool
 }
 
@@ -44,9 +43,10 @@ type setPoint struct {
 // way to run N configuration points of the same program. Build one
 // with NewSet, then stream the results with Sweep (or collect them
 // with Run). Compared to building N Sessions, a Set shares the decoded
-// program and per-PC metadata across all points and simulates exact
-// duplicate configurations once — per-point results are bit-identical
-// to individual Sessions.
+// program and per-PC metadata across all points, simulates exact
+// duplicate configurations once, and builds each configuration's
+// machine on the storage of the one simulated before it — per-point
+// results are bit-identical to individual Sessions.
 //
 // A Set is single-use and, once swept, sealed. A sweep simulates its
 // points one after another on one goroutine; to bound how many sets and
@@ -58,9 +58,6 @@ type Set struct {
 	points []setPoint
 	swept  bool
 }
-
-// waveWidth is the number of distinct configurations per wave.
-const waveWidth = 8
 
 // NewSet builds a sweep set over workload w with one point per option
 // list, validating every point eagerly exactly as New would: a nil or
@@ -127,29 +124,17 @@ func (s *Set) Run(ctx context.Context) ([]*Result, error) {
 	return results, firstErr
 }
 
-// sweepUnit is one schedulable piece of a sweep: either a wave of
-// distinct-configuration lanes (each lane carrying every point index
-// that resolves to its configuration) or a single point that must run
-// as an individual Session.
-type sweepUnit struct {
-	// lanes[i] lists the point indices coalesced onto lane i; the
-	// lane simulates points[lanes[i][0]].cfg.
-	lanes [][]int
-	// single is the session point's index (lanes nil).
-	single int
-}
-
 // Sweep simulates every point and streams the per-point results over
 // the returned channel in completion order; the channel closes once
-// all points have finished. Points are grouped into waves of up to 8
-// distinct configurations; the waves and session points run in order
-// on one goroutine.
-// Points whose configurations are exactly equal are simulated once
-// per wave and their results fanned out (the simulator is
-// deterministic, so this is observationally identical to running
-// each); observer and trace points always run as individual sessions.
+// all points have finished. Points whose configurations are exactly
+// equal are simulated once and their results fanned out (the
+// simulator is deterministic, so this is observationally identical to
+// running each). The distinct configurations run one at a time on one
+// goroutine, in first-occurrence order, each built just before it runs
+// on the storage of the machine simulated before it; observer and trace
+// points always run as individual sessions.
 //
-// Cancelling ctx stops the running lanes at their next cycle boundary
+// Cancelling ctx stops the running lane at its next cycle boundary
 // and finalizes the lanes not yet started without simulating them:
 // such points deliver partial, well-formed Results together with the
 // context error, exactly as Session.Run does. A Set is single-use;
@@ -166,134 +151,91 @@ func (s *Set) Sweep(ctx context.Context) <-chan PointResult {
 	}
 	s.swept = true
 
-	// Partition the points into units: session points run alone;
-	// the rest coalesce by exact configuration (first-occurrence
-	// order) and fill waves of up to waveWidth lanes.
-	var units []sweepUnit
-	var wave [][]int
-	laneOf := make(map[Config]int, len(s.points))
-	flush := func() {
-		if len(wave) > 0 {
-			units = append(units, sweepUnit{lanes: wave})
-			wave = nil
-			laneOf = make(map[Config]int, len(s.points))
-		}
-	}
+	// units[u] lists the point indices unit u delivers to: a session
+	// point alone, or every point sharing one exact configuration.
+	var units [][]int
+	unitOf := make(map[Config]int, len(s.points))
 	for i, pt := range s.points {
-		if pt.session {
-			units = append(units, sweepUnit{single: i})
-			continue
+		if !pt.session {
+			if u, ok := unitOf[pt.cfg]; ok {
+				units[u] = append(units[u], i)
+				continue
+			}
+			unitOf[pt.cfg] = len(units)
 		}
-		if li, ok := laneOf[pt.cfg]; ok {
-			wave[li] = append(wave[li], i)
-			continue
-		}
-		laneOf[pt.cfg] = len(wave)
-		wave = append(wave, []int{i})
-		if len(wave) == waveWidth {
-			flush()
-		}
+		units = append(units, []int{i})
 	}
-	flush()
 
 	go func() {
+		var spent *core.Proc
 		for _, u := range units {
-			s.runUnit(ctx, u, out)
+			spent = s.runUnit(ctx, u, spent, out)
 		}
 		close(out)
 	}()
 	return out
 }
 
-// runUnit simulates one sweep unit, delivering a PointResult for every
-// point index the unit covers. A panic — possible only via
-// user-supplied hooks on session points, but guarded for waves too —
-// is recovered and delivered as a *PanicError to the unit's
-// undelivered points.
-func (s *Set) runUnit(ctx context.Context, u sweepUnit, out chan<- PointResult) {
-	delivered := make(map[int]bool)
+// runUnit simulates one sweep unit, delivering a PointResult for each
+// of its point indices, and returns the processor whose storage the
+// next lane may recycle (spent again after a session point). A panic —
+// possible only via user-supplied hooks on session points, but guarded
+// for lanes too — is recovered and delivered as a *PanicError to the
+// unit's undelivered points, and the panicked lane's storage is
+// dropped.
+func (s *Set) runUnit(ctx context.Context, unit []int, spent *core.Proc, out chan<- PointResult) (next *core.Proc) {
+	delivered := 0
+	deliver := func(pr PointResult) {
+		out <- pr
+		delivered++
+	}
 	defer func() {
 		if v := recover(); v != nil {
 			err := &PanicError{Value: v, Stack: debug.Stack()}
-			if u.lanes == nil {
-				if !delivered[u.single] {
-					out <- PointResult{Index: u.single, Err: err}
-				}
-				return
+			for _, idx := range unit[delivered:] {
+				out <- PointResult{Index: idx, Err: err}
 			}
-			for _, lane := range u.lanes {
-				for _, idx := range lane {
-					if !delivered[idx] {
-						out <- PointResult{Index: idx, Err: err}
-					}
-				}
-			}
+			next = nil
 		}
 	}()
 
-	if u.lanes == nil {
-		idx := u.single
-		sess, err := New(s.w, s.points[idx].opts...)
-		if err != nil {
-			delivered[idx] = true
-			out <- PointResult{Index: idx, Err: err}
-			return
+	pt := s.points[unit[0]]
+	if pt.session {
+		sess, err := New(s.w, pt.opts...)
+		var res *Result
+		if err == nil {
+			res, err = sess.Run(ctx)
 		}
-		res, err := sess.Run(ctx)
-		delivered[idx] = true
-		out <- PointResult{Index: idx, Result: res, Err: err}
-		return
+		deliver(PointResult{Index: unit[0], Result: res, Err: err})
+		return spent
 	}
 
-	// Build every lane of the wave before running any of them. The
-	// built lanes stay reachable until the wave ends, which keeps the
-	// live heap large and garbage collection rare. Building each lane
-	// only when it starts cut peak RSS of the e2ebench paper-tables
-	// workload from ~96 to ~31 MB but cost ~10% throughput, all of it
-	// GC pacing (GOGC=400 closed the gap). The data images are all
-	// allocated before the pipelines: interleaving the two raised that
-	// workload's peak RSS by ~2 MB.
-	mems := make([]*mem.Memory, len(u.lanes))
-	for li := range mems {
-		mems[li] = s.w.newMem()
-	}
-	procs := make([]*core.Proc, len(u.lanes))
-	for li, lane := range u.lanes {
-		p, err := core.NewShared(s.points[lane[0]].cfg, s.shared, mems[li])
-		if err != nil {
-			for _, lane := range u.lanes {
-				for _, idx := range lane {
-					delivered[idx] = true
-					out <- PointResult{Index: idx, Err: err}
-				}
-			}
-			return
+	p, err := core.Recycle(spent, pt.cfg, s.shared, s.w.image())
+	if err != nil {
+		for _, idx := range unit {
+			deliver(PointResult{Index: idx, Err: err})
 		}
-		procs[li] = p
+		return nil
 	}
-	for li, p := range procs {
-		t0 := time.Now()
-		var stats *core.Stats
-		err := ctx.Err()
-		if err == nil {
-			stats, err = p.RunContext(ctx)
-		} else {
-			stats = p.Finalize() // never started: an empty partial result
-		}
-		wall := time.Since(t0)
-		cfg := s.points[u.lanes[li][0]].cfg
-		for _, idx := range u.lanes[li] {
-			delivered[idx] = true
-			if stats == nil {
-				out <- PointResult{Index: idx, Err: err}
-				continue
-			}
-			st := *stats // each point owns its stats copy
-			out <- PointResult{
-				Index:  idx,
-				Result: newResult(s.w, cfg, &st, err != nil, wall),
-				Err:    err,
-			}
-		}
+	t0 := time.Now()
+	var stats *core.Stats
+	if err = ctx.Err(); err == nil {
+		stats, err = p.RunContext(ctx)
+	} else {
+		stats = p.Finalize() // never started: an empty partial result
 	}
+	wall := time.Since(t0)
+	for _, idx := range unit {
+		if stats == nil {
+			deliver(PointResult{Index: idx, Err: err})
+			continue
+		}
+		st := *stats // each point owns its stats copy
+		deliver(PointResult{
+			Index:  idx,
+			Result: newResult(s.w, pt.cfg, &st, err != nil, wall),
+			Err:    err,
+		})
+	}
+	return p
 }

@@ -73,10 +73,30 @@ func TestSetValidatesEagerly(t *testing.T) {
 
 // TestSweepMatchesSessions is the façade-level differential: every
 // point of a sweep must produce statistics bit-identical to a Session
-// built with the same options.
+// built with the same options. Each configuration is built on the
+// storage of the one before it, so the points change mode and the
+// geometry of the window, register file, caches, predictors and SRSMT
+// in both directions; the last point duplicates point 1 from well
+// past the first eight distinct configurations.
 func TestSweepMatchesSessions(t *testing.T) {
 	w := mustLoad(t, "gcc")
-	points := sweepPoints(8_000)
+	const budget = 8_000
+	points := append(sweepPoints(budget),
+		sim.PointOpts{sim.WithMode(sim.WideBus), sim.WithInstrBudget(budget), sim.WithRegs(128), sim.WithPorts(2)},
+		sim.PointOpts{sim.WithMode(sim.CI), sim.WithInstrBudget(budget), sim.WithRegs(0)},
+		sim.PointOpts{sim.WithMode(sim.Vect), sim.WithInstrBudget(budget), sim.WithConfigPatch(func(c *sim.Config) {
+			c.Hier.L2.SizeBytes = 64 << 10
+			c.Hier.L3.SizeBytes = 512 << 10
+			c.GshareEntries = 1 << 12
+			c.SRSMTSets, c.SRSMTAssoc = 16, 2
+			c.StrideSets = 64
+			c.MBSSets = 16
+		})},
+		sim.PointOpts{sim.WithMode(sim.CI), sim.WithInstrBudget(budget), sim.WithRegs(512), sim.WithReplicas(8)},
+		sim.PointOpts{sim.WithMode(sim.CIIW), sim.WithInstrBudget(budget), sim.WithRegs(128)},
+		sim.PointOpts{sim.WithMode(sim.Vect), sim.WithInstrBudget(budget), sim.WithSpecMem(768)},
+		sim.PointOpts{sim.WithMode(sim.CI), sim.WithInstrBudget(budget)}, // duplicate of point 1
+	)
 
 	want := make([]sim.Stats, len(points))
 	for i, opts := range points {
@@ -95,7 +115,8 @@ func TestSweepMatchesSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, res := range collect(t, set) {
+	results := collect(t, set)
+	for i, res := range results {
 		if res.Partial {
 			t.Errorf("point %d: unexpectedly partial", i)
 		}
@@ -103,12 +124,16 @@ func TestSweepMatchesSessions(t *testing.T) {
 			t.Errorf("point %d: sweep stats diverge from a Session run", i)
 		}
 	}
+	// Coalesced points share one simulation, and so its wall time.
+	if last := results[len(results)-1]; last.NsPerOp != results[1].NsPerOp {
+		t.Errorf("duplicate of point 1 was simulated again (%d ns vs %d ns)", last.NsPerOp, results[1].NsPerOp)
+	}
 }
 
 // TestSweepLaneHardError gives one point an unreachable cycle bound so
-// it fails inside a wave: that point reports its error with a nil
-// Result, and its siblings in the same wave still match their
-// Sessions.
+// its lane fails: that point reports its error with a nil Result, and
+// the lanes after it, built on the failed lane's storage, still match
+// their Sessions.
 func TestSweepLaneHardError(t *testing.T) {
 	w := mustLoad(t, "gcc")
 	points := []sim.PointOpts{
@@ -241,7 +266,7 @@ func TestSetSingleUse(t *testing.T) {
 	}
 }
 
-// TestBatchRunSet runs a multi-wave set through a one-worker batch
+// TestBatchRunSet runs a ten-point set through a one-worker batch
 // while another goroutine runs a session on the same batch: the set
 // holds one slot for the whole sweep, so the two never overlap, and
 // every point matches a plain Set.Run bit for bit. A caller cancelled

@@ -137,11 +137,14 @@ func (w *Workload) SetWord(addr, value uint64) {
 
 // newMem returns a fresh copy of the initial data image for one
 // session.
-func (w *Workload) newMem() *mem.Memory {
+func (w *Workload) newMem() *mem.Memory { return w.image().Clone() }
+
+// image returns the initial data image itself (shared; read only).
+func (w *Workload) image() *mem.Memory {
 	if w.base != nil {
-		return w.base.Clone()
+		return w.base
 	}
-	return w.bench.NewMem()
+	return w.bench.Image()
 }
 
 // Disassemble renders the workload's program as assembly text.
